@@ -98,14 +98,25 @@ void StageBlock::ComputeWords(const OpGraph& graph, const StageConfig& config,
   }
 }
 
-const std::vector<uint64_t>* StageBlock::OpWords(const OpGraph& graph) const {
+namespace {
+
+uint64_t FoldWords(uint64_t state, const std::vector<uint64_t>& words) {
+  for (const uint64_t word : words) {
+    state = HashCombine(state, word);
+  }
+  return state;
+}
+
+}  // namespace
+
+const StageBlock::WordCache* StageBlock::Cache(const OpGraph& graph) const {
   const WordCache* cache = words_.load(std::memory_order_acquire);
   if (cache != nullptr) {
     // A cache for a different graph cannot be swapped out safely under
     // concurrent readers, so it stays published and this graph reads as
     // uncached. (In practice a config is only ever hashed against one
     // graph; this path exists for correctness, not speed.)
-    return cache->graph == &graph ? &cache->words : nullptr;
+    return cache->graph == &graph ? cache : nullptr;
   }
   // Miss: recompute into the parked buffer if this thread wins it, a fresh
   // one otherwise (concurrent post-mutation readers may race here).
@@ -118,6 +129,7 @@ const std::vector<uint64_t>* StageBlock::OpWords(const OpGraph& graph) const {
   delete fresh->annotation.exchange(nullptr, std::memory_order_acq_rel);
   fresh->graph = &graph;
   ComputeWords(graph, config_, fresh->words);
+  fresh->digest = FoldWords(kFnvOffsetBasis, fresh->words);
   // Publish-once: the winner's cache lives until mutation or destruction,
   // so concurrent readers never see it freed; losers park their copy and
   // read the winner's (which, racing on the same graph, holds the same
@@ -126,10 +138,25 @@ const std::vector<uint64_t>* StageBlock::OpWords(const OpGraph& graph) const {
   if (words_.compare_exchange_strong(expected, fresh,
                                      std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
-    return &fresh->words;
+    return fresh;
   }
   delete spare_.exchange(fresh, std::memory_order_acq_rel);
-  return expected->graph == &graph ? &expected->words : nullptr;
+  return expected->graph == &graph ? expected : nullptr;
+}
+
+const std::vector<uint64_t>* StageBlock::OpWords(const OpGraph& graph) const {
+  const WordCache* cache = Cache(graph);
+  return cache != nullptr ? &cache->words : nullptr;
+}
+
+uint64_t StageBlock::OpWordsDigest(const OpGraph& graph) const {
+  if (const WordCache* cache = Cache(graph)) {
+    return cache->digest;
+  }
+  // Different-graph fallback (see Cache()).
+  std::vector<uint64_t> words;
+  ComputeWords(graph, config_, words);
+  return FoldWords(kFnvOffsetBasis, words);
 }
 
 const StageAnnotation* StageBlock::Annotation(const OpGraph& graph) const {
@@ -159,19 +186,13 @@ const StageAnnotation* StageBlock::PublishAnnotation(
 
 uint64_t StageBlock::FoldOpWords(const OpGraph& graph, uint64_t state) const {
   if (const std::vector<uint64_t>* words = OpWords(graph)) {
-    for (const uint64_t word : *words) {
-      state = HashCombine(state, word);
-    }
-    return state;
+    return FoldWords(state, *words);
   }
   // Different-graph fallback: fold freshly packed words without touching
   // the published cache.
   std::vector<uint64_t> words;
   ComputeWords(graph, config_, words);
-  for (const uint64_t word : words) {
-    state = HashCombine(state, word);
-  }
-  return state;
+  return FoldWords(state, words);
 }
 
 // ----- ParallelConfig: special members -----
@@ -326,8 +347,24 @@ int64_t ParallelConfig::NumMicrobatches(const OpGraph& graph) const {
   return graph.global_batch_size() / microbatch_size_;
 }
 
+namespace {
+
+// Error-message prefixes, built only once a check has failed: Validate runs
+// on every candidate the search constructs, so its success path must not
+// allocate.
+std::string StageTag(size_t stage_index) {
+  return "stage " + std::to_string(stage_index);
+}
+
+std::string OpTag(size_t stage_index, const Operator& op) {
+  return StageTag(stage_index) + " op " + op.name;
+}
+
+}  // namespace
+
 Status ParallelConfig::Validate(const OpGraph& graph,
-                                const ClusterSpec& cluster) const {
+                                const ClusterSpec& cluster,
+                                const std::vector<int>* op_check_stages) const {
   if (stages_.empty()) {
     return InvalidArgument("configuration has no stages");
   }
@@ -348,47 +385,53 @@ Status ParallelConfig::Validate(const OpGraph& graph,
   int next_op = 0;
   for (size_t s = 0; s < stages_.size(); ++s) {
     const StageConfig& stage = stages_[s]->config();
-    const std::string tag = "stage " + std::to_string(s);
     if (stage.first_op != next_op) {
-      return InvalidArgument(tag + " starts at op " +
+      return InvalidArgument(StageTag(s) + " starts at op " +
                              std::to_string(stage.first_op) + ", expected " +
                              std::to_string(next_op));
     }
     if (stage.num_ops <= 0) {
-      return InvalidArgument(tag + " is empty");
+      return InvalidArgument(StageTag(s) + " is empty");
     }
     next_op = stage.end_op();
     if (!IsPow2(stage.num_devices)) {
-      return InvalidArgument(tag + " device count " +
+      return InvalidArgument(StageTag(s) + " device count " +
                              std::to_string(stage.num_devices) +
                              " is not a power of two");
     }
     if (static_cast<int>(stage.ops.size()) != stage.num_ops) {
-      return InvalidArgument(tag + " has " + std::to_string(stage.ops.size()) +
+      return InvalidArgument(StageTag(s) + " has " +
+                             std::to_string(stage.ops.size()) +
                              " op settings for " +
                              std::to_string(stage.num_ops) + " ops");
+    }
+    if (op_check_stages != nullptr &&
+        std::find(op_check_stages->begin(), op_check_stages->end(),
+                  static_cast<int>(s)) == op_check_stages->end()) {
+      continue;
     }
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
       const Operator& op = graph.op(stage.first_op + i);
-      const std::string op_tag = tag + " op " + op.name;
       if (!IsPow2(setting.tp) || !IsPow2(setting.dp)) {
-        return InvalidArgument(op_tag + ": tp/dp must be powers of two");
+        return InvalidArgument(OpTag(s, op) + ": tp/dp must be powers of two");
       }
       if (setting.tp * setting.dp != stage.num_devices) {
-        return InvalidArgument(op_tag + ": tp*dp=" +
+        return InvalidArgument(OpTag(s, op) + ": tp*dp=" +
                                std::to_string(setting.tp * setting.dp) +
                                " != stage devices " +
                                std::to_string(stage.num_devices));
       }
       if (op.tp_class == TpClass::kPartitioned &&
           setting.tp > FloorPow2(std::max(op.max_tp, 1))) {
-        return InvalidArgument(op_tag + ": tp " + std::to_string(setting.tp) +
+        return InvalidArgument(OpTag(s, op) + ": tp " +
+                               std::to_string(setting.tp) +
                                " exceeds op limit " +
                                std::to_string(op.max_tp));
       }
       if (microbatch_size_ % setting.dp != 0) {
-        return InvalidArgument(op_tag + ": dp " + std::to_string(setting.dp) +
+        return InvalidArgument(OpTag(s, op) + ": dp " +
+                               std::to_string(setting.dp) +
                                " does not divide microbatch size " +
                                std::to_string(microbatch_size_));
       }
@@ -479,7 +522,11 @@ uint64_t ParallelConfig::StageSemanticHash(const OpGraph& graph,
   // distinguishes stage 0 (no p2p charge) from later stages.
   h.Add(first_device % cluster.gpus_per_node);
   h.Add(stage_index > 0);
-  return block.FoldOpWords(graph, h.Digest());
+  // The op words enter as their cached digest, finalized with Mix64: the
+  // header and the digest are both structured values, and one HashCombine
+  // round over two such values can cancel their differences.
+  h.Add(Mix64(block.OpWordsDigest(graph)));
+  return h.Digest();
 }
 
 const StageAnnotation* ParallelConfig::StageWordAnnotation(
@@ -515,6 +562,8 @@ uint64_t ParallelConfig::StageSemanticHashUncached(const OpGraph& graph,
                                                    int stage_index) const {
   const StageConfig& st = stage(stage_index);
   const int first_device = StageFirstDevice(stage_index);
+  Hasher ops;
+  HashStageOps(graph, st, ops);
   Hasher h;
   h.Add(microbatch_size_);
   h.Add(st.first_op);
@@ -522,7 +571,7 @@ uint64_t ParallelConfig::StageSemanticHashUncached(const OpGraph& graph,
   h.Add(st.num_devices);
   h.Add(first_device % cluster.gpus_per_node);
   h.Add(stage_index > 0);
-  HashStageOps(graph, st, h);
+  h.Add(Mix64(ops.Digest()));
   return h.Digest();
 }
 

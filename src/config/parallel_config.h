@@ -116,10 +116,14 @@ class StageBlock {
   StageConfig& BeginMutation();
 
   // Folds this stage's packed op words into `state` with HashCombine — the
-  // shared inner loop of SemanticHash and StageSemanticHash. Computes and
-  // caches the words on first use for `graph`; cached folds touch no
-  // Operator data at all.
+  // inner loop of SemanticHash. Computes and caches the words on first use
+  // for `graph`; cached folds touch no Operator data at all.
   uint64_t FoldOpWords(const OpGraph& graph, uint64_t state) const;
+
+  // Digest of this stage's packed op words: their HashCombine fold from
+  // kFnvOffsetBasis. Computed once with the word cache, so a cached call is
+  // O(1) — this is what makes a stage-cache key O(1) per stage.
+  uint64_t OpWordsDigest(const OpGraph& graph) const;
 
   // The cached per-op semantic words for `graph` (one PackOpSemanticWord()
   // per op, in stage order), computing and publishing them on first use via
@@ -147,12 +151,17 @@ class StageBlock {
     ~WordCache() { delete annotation.load(std::memory_order_acquire); }
     const OpGraph* graph = nullptr;
     std::vector<uint64_t> words;  // one PackOpSemanticWord() per op
+    uint64_t digest = 0;          // OpWordsDigest() of `words`
     // See StageAnnotation: publish-once, freed with the cache.
     mutable std::atomic<const StageAnnotation*> annotation{nullptr};
   };
 
   static void ComputeWords(const OpGraph& graph, const StageConfig& config,
                            std::vector<uint64_t>& words);
+
+  // The published word cache for `graph`, computing and publishing it on
+  // first use; nullptr when a cache for a different graph is published.
+  const WordCache* Cache(const OpGraph& graph) const;
 
   StageConfig config_;
   mutable std::atomic<const WordCache*> words_{nullptr};
@@ -255,7 +264,15 @@ class ParallelConfig {
   // contiguous full coverage, device counts match the cluster, power-of-two
   // tp/dp with tp*dp == stage devices, tp within per-op limits, microbatch
   // divisibility. Returns the first violation found.
-  Status Validate(const OpGraph& graph, const ClusterSpec& cluster) const;
+  //
+  // `op_check_stages`, when given, limits the per-op checks (the O(#ops)
+  // part) to the listed stages; the stage-header and coverage checks still
+  // run on every stage. Candidate construction passes the stages it
+  // touched: the untouched ones are the valid base's shared blocks, so
+  // re-checking their ops could only repeat a pass. A change that reaches
+  // every op's checks (the microbatch size) must list every stage.
+  Status Validate(const OpGraph& graph, const ClusterSpec& cluster,
+                  const std::vector<int>* op_check_stages = nullptr) const;
 
   // Configuration-semantic hash for deduplication (§4.3): equal iff the
   // stage partition, per-op settings, and microbatch size are equal.
@@ -275,9 +292,10 @@ class ParallelConfig {
   // the stage's first-device offset within its node and whether the stage
   // receives pipeline input at all, so those two facts are the entire
   // placement context. Keys are only comparable within one (graph, cluster)
-  // pair — exactly the lifetime of a PerformanceModel. Reuses the stage
-  // block's cached op words, so key derivation for an unmutated stage does
-  // no per-op work beyond one HashCombine per op.
+  // pair — exactly the lifetime of a PerformanceModel. Layout: the
+  // placement header above, then Mix64 of the stage block's cached
+  // OpWordsDigest(), so key derivation for an unmutated stage does no
+  // per-op work at all.
   uint64_t StageSemanticHash(const OpGraph& graph, const ClusterSpec& cluster,
                              int stage_index) const;
 

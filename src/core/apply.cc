@@ -77,17 +77,21 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
   if (stage_index < 0 || stage_index >= config.num_stages()) {
     return;
   }
-  const PerfResult perf = model.Evaluate(config);
+  // The fix reads one number, this stage's Eq. 1 memory, and that depends
+  // on the stage alone: one stage-cost probe, not an Evaluate() of the
+  // whole config.
+  const int64_t memory =
+      StageMemoryBytes(*model.ResolveStageCost(config, stage_index),
+                       config.num_stages(), stage_index);
   const int64_t limit = model.cluster().gpu.memory_bytes;
-  const StageUsage& usage = perf.stages[static_cast<size_t>(stage_index)];
   StageConfig& stage = config.MutableStage(stage_index);
   const int64_t in_flight =
       std::max(1, config.num_stages() - stage_index);
   const int mbs = config.microbatch_size();
 
-  if (usage.memory_bytes > limit) {
+  if (memory > limit) {
     // Enable recompute on the fattest activations until the stage fits.
-    int64_t need = usage.memory_bytes - limit;
+    int64_t need = memory - limit;
     std::vector<std::pair<int64_t, int>> by_size;  // (stored bytes, op index)
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
@@ -111,7 +115,7 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
   } else {
     // Release recompute where memory allows, cheapest savings first --
     // i.e. drop the recomputations with the highest time cost per byte.
-    int64_t slack = limit - usage.memory_bytes;
+    int64_t slack = limit - memory;
     std::vector<std::pair<double, int>> by_cost;  // (recompute time, op index)
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
@@ -278,10 +282,15 @@ class CandidateBuilder {
         attach_recompute_fix_(attach_recompute_fix) {}
 
   // Validates, applies the §4.3 recompute attachment to the stages the
-  // candidate touched, and records it.
+  // candidate touched, and records it. `touched_stages` lists every stage
+  // whose parallelism or op range the primitive changed (every stage for a
+  // microbatch change), so Validate's per-op checks run on those alone: the
+  // rest are the valid base's shared blocks. The rc and ZeRO primitives
+  // pass none — they flip only fields Validate does not check.
   void Emit(ParallelConfig config, const std::string& description,
-            std::vector<int> touched_stages) {
-    if (!config.Validate(model_.graph(), model_.cluster()).ok()) {
+            const std::vector<int>& touched_stages) {
+    if (!config.Validate(model_.graph(), model_.cluster(), &touched_stages)
+             .ok()) {
       return;
     }
     if (attach_recompute_fix_) {

@@ -34,10 +34,12 @@ struct Candidate {
   std::string description;
 };
 
-// Generates all candidates for applying `kind` at `stage`. `perf` must be
-// the evaluation of `config`. `attach_recompute_fix` controls the §4.3
-// recompute attachment — disable it to observe a primitive's isolated
-// resource impact (used by the Table-1 verification bench).
+// Generates all candidates for applying `kind` at `stage`. `config` must
+// pass Validate() (candidates re-check only the stages they change), and
+// `perf` must be the evaluation of `config`. `attach_recompute_fix`
+// controls the §4.3 recompute attachment — disable it to observe a
+// primitive's isolated resource impact (used by the Table-1 verification
+// bench).
 std::vector<Candidate> GeneratePrimitiveCandidates(
     const PerformanceModel& model, const ParallelConfig& config,
     const PerfResult& perf, PrimitiveKind kind, int stage,
@@ -45,8 +47,10 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
 
 // §4.3 recompute attachment: greedily enables recomputation (largest stored
 // activation first) in `stage` until its memory fits the device, or disables
-// it (most expensive recompute first) while memory allows. Mutates `config`
-// in place; no-op when the stage cannot be fixed.
+// it (most expensive recompute first) while memory allows. Reads only the
+// stage's own cost (PerformanceModel::ResolveStageCost), not a whole-config
+// evaluation. Mutates `config` in place; no-op when the stage cannot be
+// fixed.
 void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
                   int stage);
 

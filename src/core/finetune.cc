@@ -69,6 +69,8 @@ PerfResult FineTune(const PerformanceModel& model, ParallelConfig& config,
   // --- 1. Flexible tp/dp combination inside each stage ---
   for (int s = 0; s < config.num_stages() && !budget.Expired(); ++s) {
     const int n = config.stage(s).num_ops;
+    // A trial retargets stage s only; the rest of `config` is valid.
+    const std::vector<int> touched{s};
     for (int split :
          SampleSplitPoints(n, options.max_split_points_per_stage)) {
       for (const bool increase : {true, false}) {
@@ -79,7 +81,7 @@ PerfResult FineTune(const PerformanceModel& model, ParallelConfig& config,
         if (!RetargetTail(graph, trial.MutableStage(s), split, increase)) {
           continue;
         }
-        if (!trial.Validate(graph, model.cluster()).ok()) {
+        if (!trial.Validate(graph, model.cluster(), &touched).ok()) {
           continue;
         }
         count_trial();

@@ -41,6 +41,7 @@ struct FineTuneOptions {
 };
 
 // Fine-tunes `config` in place; returns the evaluation of the final config.
+// `config` must pass Validate(): trials re-check only the stage they change.
 // Stops early when `budget` expires. When `trial_evaluations` is non-null it
 // is incremented once per trial configuration evaluated, so callers (the
 // search) can attribute fine-tuning work to their explored-config counters.

@@ -201,9 +201,9 @@ struct SearchStats {
   int64_t improvements = 0;     // iterations that found a better config
   // Every configuration evaluation the search performed on its own behalf:
   // the initial configuration, every generated candidate, and every
-  // fine-tuning trial. (Scratch evaluations inside FixRecompute — the §4.3
-  // attachment and the inc-rc/dec-rc fit/relax constructions — are
-  // bookkeeping of candidate *construction*, not exploration, and are not
+  // fine-tuning trial. (FixRecompute — the §4.3 attachment and the
+  // inc-rc/dec-rc fit/relax constructions — reads single stage costs as
+  // part of candidate *construction*; it is not exploration and is not
   // counted.)
   int64_t configs_explored = 0;
 

@@ -46,7 +46,6 @@ void CandidateBatch::EvaluateAll() {
 
   const OpGraph& graph = model_.graph();
   const ClusterSpec& cluster = model_.cluster();
-  StageCostCache& cache = model_.stage_cache_;
 
   costs_.assign(static_cast<size_t>(p) * static_cast<size_t>(L), nullptr);
   keepalive_.clear();
@@ -69,19 +68,8 @@ void CandidateBatch::EvaluateAll() {
       const int lead_mbs = lead_cfg.microbatch_size();
 
       // Resolve the leader exactly as Evaluate() would this stage.
-      std::shared_ptr<const StageCost> resolved;
-      if (cache.enabled()) {
-        const uint64_t key = lead_cfg.StageSemanticHash(graph, cluster, s);
-        resolved = cache.Lookup(key);
-        if (resolved == nullptr) {
-          resolved = std::make_shared<const StageCost>(
-              model_.ComputeStageCost(lead_cfg, s));
-          cache.Insert(key, resolved);
-        }
-      } else {
-        resolved = std::make_shared<const StageCost>(
-            model_.ComputeStageCost(lead_cfg, s));
-      }
+      std::shared_ptr<const StageCost> resolved =
+          model_.ResolveStageCost(lead_cfg, s);
       stats_.stage_groups += 1;
       const StageCost* cost = resolved.get();
       keepalive_.push_back(std::move(resolved));
@@ -128,7 +116,6 @@ void CandidateBatch::EvaluateAll() {
   // Eq. 1: per-stage usage and in-flight memory totals.
   for (int s = 0; s < p; ++s) {
     const size_t row = static_cast<size_t>(s) * static_cast<size_t>(L);
-    const int in_flight = std::max(1, p - s);  // 1F1B in-flight microbatches
     for (int lane = 0; lane < L; ++lane) {
       Lane& l = lanes_[static_cast<size_t>(lane)];
       if (!l.active) continue;
@@ -144,9 +131,7 @@ void CandidateBatch::EvaluateAll() {
       usage.optimizer_bytes = cost.optimizer_bytes;
       usage.activation_bytes_per_mb = cost.activation_bytes_per_mb;
       usage.reserved_bytes = cost.reserved_bytes;
-      usage.memory_bytes = cost.param_bytes + cost.optimizer_bytes +
-                           cost.activation_bytes_per_mb * in_flight +
-                           cost.reserved_bytes;
+      usage.memory_bytes = StageMemoryBytes(cost, p, s);
     }
   }
 

@@ -579,6 +579,32 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   return cost;
 }
 
+int64_t StageMemoryBytes(const StageCost& cost, int num_stages,
+                         int stage_index) {
+  const int in_flight = std::max(1, num_stages - stage_index);
+  return cost.param_bytes + cost.optimizer_bytes +
+         cost.activation_bytes_per_mb * in_flight + cost.reserved_bytes;
+}
+
+std::shared_ptr<const StageCost> PerformanceModel::ResolveStageCost(
+    const ParallelConfig& config, int stage_index) const {
+  if (!stage_cache_.enabled()) {
+    return std::make_shared<const StageCost>(
+        ComputeStageCost(config, stage_index));
+  }
+  // Incremental path: reuse the memoized cost when this stage (including
+  // its placement context) has been walked before — by this evaluation's
+  // predecessor, or by a sibling search sharing the model.
+  const uint64_t key = config.StageSemanticHash(*graph_, cluster_, stage_index);
+  std::shared_ptr<const StageCost> cost = stage_cache_.Lookup(key);
+  if (cost == nullptr) {
+    cost = std::make_shared<const StageCost>(
+        ComputeStageCost(config, stage_index));
+    stage_cache_.Insert(key, cost);
+  }
+  return cost;
+}
+
 PerfResult PerformanceModel::Evaluate(const ParallelConfig& config) const {
   eval_count_.fetch_add(1, std::memory_order_relaxed);
 
@@ -590,38 +616,20 @@ PerfResult PerformanceModel::Evaluate(const ParallelConfig& config) const {
   result.stages.resize(static_cast<size_t>(p));
 
   for (int s = 0; s < p; ++s) {
-    // Incremental path: reuse the memoized cost when this stage (including
-    // its placement context) has been walked before — by this evaluation's
-    // predecessor, or by a sibling search sharing the model.
-    std::shared_ptr<const StageCost> cached;
-    StageCost local;
-    if (stage_cache_.enabled()) {
-      const uint64_t key = config.StageSemanticHash(*graph_, cluster_, s);
-      cached = stage_cache_.Lookup(key);
-      if (cached == nullptr) {
-        cached = std::make_shared<const StageCost>(ComputeStageCost(config, s));
-        stage_cache_.Insert(key, cached);
-      }
-    } else {
-      local = ComputeStageCost(config, s);
-    }
-    const StageCost& cost = cached != nullptr ? *cached : local;
+    const std::shared_ptr<const StageCost> cost = ResolveStageCost(config, s);
     StageUsage& usage = result.stages[static_cast<size_t>(s)];
 
-    usage.fwd_time = cost.fwd_time;
-    usage.bwd_time = cost.bwd_time;
-    usage.comp_time = cost.comp_time;
-    usage.comm_time = cost.comm_time;
-    usage.recompute_time = cost.recompute_time;
-    usage.dp_sync_time = cost.dp_sync_time;
-    usage.param_bytes = cost.param_bytes;
-    usage.optimizer_bytes = cost.optimizer_bytes;
-    usage.activation_bytes_per_mb = cost.activation_bytes_per_mb;
-    usage.reserved_bytes = cost.reserved_bytes;
-    const int in_flight = std::max(1, p - s);  // 1F1B in-flight microbatches
-    usage.memory_bytes = cost.param_bytes + cost.optimizer_bytes +
-                         cost.activation_bytes_per_mb * in_flight +
-                         cost.reserved_bytes;
+    usage.fwd_time = cost->fwd_time;
+    usage.bwd_time = cost->bwd_time;
+    usage.comp_time = cost->comp_time;
+    usage.comm_time = cost->comm_time;
+    usage.recompute_time = cost->recompute_time;
+    usage.dp_sync_time = cost->dp_sync_time;
+    usage.param_bytes = cost->param_bytes;
+    usage.optimizer_bytes = cost->optimizer_bytes;
+    usage.activation_bytes_per_mb = cost->activation_bytes_per_mb;
+    usage.reserved_bytes = cost->reserved_bytes;
+    usage.memory_bytes = StageMemoryBytes(*cost, p, s);
   }
 
   // --- Eq. 2: stage times and iteration time ---

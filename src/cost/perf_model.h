@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 
 #include "src/config/parallel_config.h"
 #include "src/cost/op_memo.h"
@@ -103,6 +104,14 @@ struct StageCost {
 // (and therefore every PerfResult bit) is identical.
 StageCost AggregateStageCost(const StageWalk& walk);
 
+// Eq. 1: peak per-device memory of stage `stage_index` in a `num_stages`-deep
+// 1F1B pipeline — parameters, optimizer state, one activation set per
+// in-flight microbatch (num_stages - stage_index of them), and the reserved
+// working set. The one formula behind every StageUsage::memory_bytes and
+// the recompute fix-up's fit test.
+int64_t StageMemoryBytes(const StageCost& cost, int num_stages,
+                         int stage_index);
+
 class PerformanceModel {
  public:
   // `graph` and `db` must outlive the model. Thread-safe: Evaluate() may be
@@ -141,6 +150,14 @@ class PerformanceModel {
   StageCost ComputeStageCost(const ParallelConfig& config,
                              int stage_index) const;
 
+  // Stage `stage_index`'s cost exactly as Evaluate() resolves it: served
+  // from the stage-cost cache (keyed by StageSemanticHash) when enabled,
+  // computed by ComputeStageCost() and inserted on a miss. This is the one
+  // stage-cache probe; it does not count as an evaluation, so a caller that
+  // needs one stage (FixRecompute) pays for one stage, not the config.
+  std::shared_ptr<const StageCost> ResolveStageCost(
+      const ParallelConfig& config, int stage_index) const;
+
   // Number of Evaluate() calls so far — the "explored configurations"
   // metric of Exp#4.
   int64_t NumEvaluations() const {
@@ -178,8 +195,7 @@ class PerformanceModel {
   }
 
  private:
-  // The batched group evaluator (batch_eval.h) replays Evaluate()'s per-stage
-  // resolution against stage_cache_ directly and charges eval_count_ one
+  // The batched group evaluator (batch_eval.h) charges eval_count_ one
   // evaluation per lane, so scalar and batched runs report identical
   // exploration counts.
   friend class CandidateBatch;

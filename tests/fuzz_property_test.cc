@@ -505,6 +505,244 @@ TEST_P(FuzzTest, ConfigIoRoundTripsOnRandomModels) {
   EXPECT_EQ(parsed->SemanticHash(graph), config->SemanticHash(graph));
 }
 
+// ----- Candidate construction -----
+
+TEST_P(FuzzTest, StageOnlyMemoryMatchesEvaluate) {
+  // The recompute fix-up reads one stage's Eq. 1 memory from that stage's
+  // own cost; it must equal the whole-config evaluation's figure bit for
+  // bit, with the stage-cost cache on and off, along a random mutation walk.
+  const OpGraph graph = models::SyntheticModel(rng_);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  PerformanceModel cached(&graph, cluster, &db);
+  PerformanceModel uncached(&graph, cluster, &db);
+  uncached.set_stage_cache_enabled(false);
+  auto made = MakeEvenConfig(graph, cluster, std::min(4, graph.num_ops()), 4);
+  if (!made.ok()) {
+    GTEST_SKIP() << made.status().ToString();
+  }
+  ParallelConfig config = *std::move(made);
+  for (int round = 0; round < 20; ++round) {
+    const int p = config.num_stages();
+    for (const PerformanceModel* model : {&cached, &uncached}) {
+      const PerfResult perf = model->Evaluate(config);
+      for (int s = 0; s < p; ++s) {
+        ASSERT_EQ(StageMemoryBytes(*model->ResolveStageCost(config, s), p, s),
+                  perf.stages[static_cast<size_t>(s)].memory_bytes)
+            << "stage " << s << " round " << round;
+      }
+    }
+    MutateRandomly(graph, config, rng_);
+  }
+}
+
+// The recompute fix-up as it was before it read one stage: a whole-config
+// Evaluate() for the stage's memory, then the same greedy passes. Kept here
+// as the reference the stage-only version must reproduce exactly.
+int64_t ReferenceStoredBytes(const Operator& op, const OpParallel& setting,
+                             int mbs) {
+  int shards = 1;
+  if (op.tp_class == TpClass::kPartitioned &&
+      setting.tp_dim == TpDim::kColumn) {
+    shards = setting.tp;
+  } else if (op.tp_class == TpClass::kShardFollower) {
+    shards = EffectiveShards(op, setting.tp);
+  }
+  return op.out_bytes * static_cast<int64_t>(mbs / setting.dp) / shards;
+}
+
+void ReferenceFixRecompute(const PerformanceModel& model,
+                           ParallelConfig& config, int stage_index) {
+  const PerfResult perf = model.Evaluate(config);
+  const int64_t limit = model.cluster().gpu.memory_bytes;
+  const StageUsage& usage = perf.stages[static_cast<size_t>(stage_index)];
+  StageConfig& stage = config.MutableStage(stage_index);
+  const int64_t in_flight = std::max(1, config.num_stages() - stage_index);
+  const int mbs = config.microbatch_size();
+  if (usage.memory_bytes > limit) {
+    int64_t need = usage.memory_bytes - limit;
+    std::vector<std::pair<int64_t, int>> by_size;
+    for (int i = 0; i < stage.num_ops; ++i) {
+      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      if (!setting.recompute) {
+        const int64_t stored = ReferenceStoredBytes(
+            model.graph().op(stage.first_op + i), setting, mbs);
+        if (stored > 0) {
+          by_size.emplace_back(stored, i);
+        }
+      }
+    }
+    std::sort(by_size.begin(), by_size.end(),
+              std::greater<std::pair<int64_t, int>>());
+    for (const auto& [stored, i] : by_size) {
+      if (need <= 0) {
+        break;
+      }
+      stage.ops[static_cast<size_t>(i)].recompute = true;
+      need -= stored * in_flight;
+    }
+  } else {
+    int64_t slack = limit - usage.memory_bytes;
+    std::vector<std::pair<double, int>> by_cost;
+    for (int i = 0; i < stage.num_ops; ++i) {
+      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      if (setting.recompute) {
+        const Operator& op = model.graph().op(stage.first_op + i);
+        const OpMeasurement m = model.db().OpTime(
+            op, model.graph().precision(), EffectiveShards(op, setting.tp),
+            std::max(1, mbs / setting.dp));
+        by_cost.emplace_back(m.fwd_seconds, i);
+      }
+    }
+    std::sort(by_cost.begin(), by_cost.end(),
+              std::greater<std::pair<double, int>>());
+    for (const auto& [cost, i] : by_cost) {
+      const Operator& op = model.graph().op(stage.first_op + i);
+      const int64_t added =
+          ReferenceStoredBytes(op, stage.ops[static_cast<size_t>(i)], mbs) *
+          in_flight;
+      if (added <= slack) {
+        stage.ops[static_cast<size_t>(i)].recompute = false;
+        slack -= added;
+      }
+    }
+  }
+}
+
+TEST_P(FuzzTest, FixRecomputeMatchesEvaluateBasedReference) {
+  // A device capacity drawn around the base config's peak memory sends the
+  // fix-up down both its paths (add recompute to fit, release it into
+  // slack) across a random walk of recompute flags and parallelism.
+  const OpGraph graph = models::SyntheticModel(rng_);
+  ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  auto made = MakeEvenConfig(graph, cluster, std::min(4, graph.num_ops()), 4);
+  if (!made.ok()) {
+    GTEST_SKIP() << made.status().ToString();
+  }
+  ParallelConfig config = *std::move(made);
+  {
+    ProfileDatabase probe_db(cluster, /*seed=*/GetParam());
+    const PerformanceModel probe(&graph, cluster, &probe_db);
+    const double scale = 0.3 + 1.2 * rng_.NextDouble();
+    cluster.gpu.memory_bytes = std::max<int64_t>(
+        1, static_cast<int64_t>(
+               static_cast<double>(probe.Evaluate(config).MaxMemory()) *
+               scale));
+  }
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  PerformanceModel cached(&graph, cluster, &db);
+  PerformanceModel uncached(&graph, cluster, &db);
+  uncached.set_stage_cache_enabled(false);
+  for (int round = 0; round < 15; ++round) {
+    for (int s = 0; s < config.num_stages(); ++s) {
+      ParallelConfig want = config;
+      ReferenceFixRecompute(cached, want, s);
+      for (const PerformanceModel* model : {&cached, &uncached}) {
+        ParallelConfig got = config;
+        FixRecompute(*model, got, s);
+        ASSERT_EQ(got.SemanticHash(graph), want.SemanticHash(graph))
+            << "stage " << s << " round " << round;
+      }
+    }
+    MutateRandomly(graph, config, rng_);
+  }
+}
+
+// The primitive kinds whose candidates all list their target stage as
+// touched (op moves, microbatch changes, tp/dp conversions and device
+// migrations) — every kind except the rc and ZeRO flag flips.
+bool TouchesTargetStage(PrimitiveKind kind) {
+  switch (kind) {
+    case PrimitiveKind::kIncRc:
+    case PrimitiveKind::kDecRc:
+    case PrimitiveKind::kIncZero:
+    case PrimitiveKind::kDecZero:
+      return false;
+    default:
+      return true;
+  }
+}
+
+TEST_P(FuzzTest, StageFilteredCandidatesPassFullValidate) {
+  // Candidates re-check only the stages they touched. Along a random walk
+  // of valid bases (each the previous step's candidate), every emitted
+  // candidate must still pass the full, unfiltered Validate.
+  const OpGraph graph = models::SyntheticModel(rng_);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  PerformanceModel model(&graph, cluster, &db);
+  auto made = MakeEvenConfig(graph, cluster, std::min(4, graph.num_ops()), 1);
+  if (!made.ok()) {
+    GTEST_SKIP() << made.status().ToString();
+  }
+  ParallelConfig base = *std::move(made);
+  int emitted = 0;
+  for (int step = 0; step < 12; ++step) {
+    ASSERT_TRUE(base.Validate(graph, cluster).ok());
+    const PerfResult perf = model.Evaluate(base);
+    std::vector<Candidate> pool;
+    for (int kind = 0; kind < kNumPrimitives; ++kind) {
+      const int stage = rng_.NextInt(0, base.num_stages() - 1);
+      for (Candidate& candidate : GeneratePrimitiveCandidates(
+               model, base, perf, static_cast<PrimitiveKind>(kind), stage)) {
+        ASSERT_TRUE(candidate.config.Validate(graph, cluster).ok())
+            << candidate.description << " at step " << step;
+        pool.push_back(std::move(candidate));
+      }
+    }
+    emitted += static_cast<int>(pool.size());
+    if (pool.empty()) {
+      break;
+    }
+    base = pool[static_cast<size_t>(
+                    rng_.NextInt(0, static_cast<int>(pool.size()) - 1))]
+               .config;
+  }
+  EXPECT_GT(emitted, 0);
+}
+
+TEST_P(FuzzTest, ViolationInTouchedStageIsRejected) {
+  // Plant a per-op violation (tp*dp != stage devices) in one stage of a
+  // valid base. Every primitive that touches that stage must reject each
+  // candidate still carrying it, so whatever survives is fully valid; the
+  // ones that keep the stage's ops as they are (pulling ops in, changing
+  // the microbatch size) must emit nothing.
+  const OpGraph graph = models::SyntheticModel(rng_);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  PerformanceModel model(&graph, cluster, &db);
+  auto made = MakeEvenConfig(graph, cluster, std::min(4, graph.num_ops()), 2);
+  if (!made.ok()) {
+    GTEST_SKIP() << made.status().ToString();
+  }
+  const ParallelConfig valid = *std::move(made);
+  const PerfResult perf = model.Evaluate(valid);
+  for (int stage = 0; stage < valid.num_stages(); ++stage) {
+    ParallelConfig planted = valid;
+    const StageConfig& target = planted.stage(stage);
+    const int op = target.first_op + rng_.NextInt(0, target.num_ops - 1);
+    planted.MutableOpSettings(op).dp *= 2;
+    ASSERT_FALSE(planted.Validate(graph, cluster).ok());
+    for (int kind = 0; kind < kNumPrimitives; ++kind) {
+      const auto k = static_cast<PrimitiveKind>(kind);
+      if (!TouchesTargetStage(k)) {
+        continue;
+      }
+      const std::vector<Candidate> candidates =
+          GeneratePrimitiveCandidates(model, planted, perf, k, stage);
+      for (const Candidate& candidate : candidates) {
+        EXPECT_TRUE(candidate.config.Validate(graph, cluster).ok())
+            << candidate.description;
+      }
+      if (k == PrimitiveKind::kIncOpCount || k == PrimitiveKind::kIncMbs ||
+          k == PrimitiveKind::kDecMbs) {
+        EXPECT_TRUE(candidates.empty())
+            << PrimitiveName(k) << " at stage " << stage;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest, ::testing::Range(1, 13));
 
 }  // namespace

@@ -180,6 +180,161 @@ TEST_F(ConfigTest, ValidateRejectsDpNotDividingMbs) {
   EXPECT_FALSE(config->Validate(graph_, cluster_).ok());
 }
 
+// ----- Validate's error text -----
+//
+// aceso_plan prints these messages to users, so each failure kind pins its
+// exact text (one test per kind, in Validate's check order).
+
+class ValidateMessageTest : public ConfigTest {
+ protected:
+  // A two-stage, four-devices-per-stage config on the 8-GPU cluster.
+  ParallelConfig Even2() { return *MakeEvenConfig(graph_, cluster_, 2, 1); }
+
+  std::string Message(const ParallelConfig& config) {
+    const Status status = config.Validate(graph_, cluster_);
+    EXPECT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    return status.message();
+  }
+
+  // The first op of stage `s` with tp class `tp_class`, as a global index.
+  int FirstOpOfClass(const ParallelConfig& config, int s, TpClass tp_class) {
+    const StageConfig& stage = config.stage(s);
+    for (int i = stage.first_op; i < stage.end_op(); ++i) {
+      if (graph_.op(i).tp_class == tp_class) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "stage " << s << " has no op of the requested class";
+    return stage.first_op;
+  }
+};
+
+TEST_F(ValidateMessageTest, NoStages) {
+  EXPECT_EQ(Message(ParallelConfig()), "configuration has no stages");
+}
+
+TEST_F(ValidateMessageTest, MicrobatchBelowOne) {
+  ParallelConfig config = Even2();
+  config.set_microbatch_size(0);
+  EXPECT_EQ(Message(config), "microbatch size must be >= 1");
+}
+
+TEST_F(ValidateMessageTest, MicrobatchNotDividingBatch) {
+  ParallelConfig config = Even2();
+  config.set_microbatch_size(3);
+  EXPECT_EQ(Message(config), "microbatch size 3 does not divide batch 1024");
+}
+
+TEST_F(ValidateMessageTest, DeviceSum) {
+  ParallelConfig config = Even2();
+  config.MutableStage(0).num_devices = 2;
+  EXPECT_EQ(Message(config), "stage devices sum to 6, cluster has 8");
+}
+
+TEST_F(ValidateMessageTest, OpCoverageGap) {
+  ParallelConfig config = Even2();
+  const int boundary = config.stage(1).first_op;
+  config.MutableStage(1).first_op += 1;
+  EXPECT_EQ(Message(config), "stage 1 starts at op " +
+                                 std::to_string(boundary + 1) + ", expected " +
+                                 std::to_string(boundary));
+}
+
+TEST_F(ValidateMessageTest, EmptyStage) {
+  ParallelConfig config = Even2();
+  StageConfig& stage = config.MutableStage(1);
+  stage.num_ops = 0;
+  stage.ops.clear();
+  EXPECT_EQ(Message(config), "stage 1 is empty");
+}
+
+TEST_F(ValidateMessageTest, NonPow2Devices) {
+  ParallelConfig config = Even2();
+  config.MutableStage(0).num_devices = 5;
+  config.MutableStage(1).num_devices = 3;
+  EXPECT_EQ(Message(config), "stage 0 device count 5 is not a power of two");
+}
+
+TEST_F(ValidateMessageTest, SettingsCount) {
+  ParallelConfig config = Even2();
+  const int num_ops = config.stage(0).num_ops;
+  config.MutableStage(0).ops.pop_back();
+  EXPECT_EQ(Message(config), "stage 0 has " + std::to_string(num_ops - 1) +
+                                 " op settings for " +
+                                 std::to_string(num_ops) + " ops");
+}
+
+TEST_F(ValidateMessageTest, TpDpNotPow2) {
+  ParallelConfig config = Even2();
+  const int op = FirstOpOfClass(config, 1, TpClass::kPartitioned);
+  config.MutableOpSettings(op).tp = 3;
+  EXPECT_EQ(Message(config), "stage 1 op " + graph_.op(op).name +
+                                 ": tp/dp must be powers of two");
+}
+
+TEST_F(ValidateMessageTest, TpTimesDpMismatch) {
+  ParallelConfig config = Even2();
+  config.MutableOpSettings(0).tp = 1;
+  config.MutableOpSettings(0).dp = 2;
+  EXPECT_EQ(Message(config), "stage 0 op " + graph_.op(0).name +
+                                 ": tp*dp=2 != stage devices 4");
+}
+
+TEST_F(ValidateMessageTest, TpOverOpLimit) {
+  // 64-way tp exceeds the head count of gpt3-0.35b's attention ops.
+  const ClusterSpec wide = ClusterSpec::WithGpuCount(64);
+  ParallelConfig config = *MakeEvenConfig(graph_, wide, 1, 1);
+  int op = 0;
+  while (op < graph_.num_ops() &&
+         !(graph_.op(op).tp_class == TpClass::kPartitioned &&
+           graph_.op(op).max_tp < 64)) {
+    ++op;
+  }
+  ASSERT_LT(op, graph_.num_ops());
+  config.MutableOpSettings(op).tp = 64;
+  config.MutableOpSettings(op).dp = 1;
+  const Status status = config.Validate(graph_, wide);
+  EXPECT_EQ(status.message(),
+            "stage 0 op " + graph_.op(op).name + ": tp 64 exceeds op limit " +
+                std::to_string(graph_.op(op).max_tp));
+}
+
+TEST_F(ValidateMessageTest, DpNotDividingMicrobatch) {
+  ParallelConfig config = Even2();
+  config.MutableOpSettings(0).tp = 1;
+  config.MutableOpSettings(0).dp = 4;
+  config.set_microbatch_size(2);
+  EXPECT_EQ(Message(config), "stage 0 op " + graph_.op(0).name +
+                                 ": dp 4 does not divide microbatch size 2");
+}
+
+// The stage filter limits only the per-op checks: a violation in a listed
+// stage is reported with the same text, one in an unlisted stage is not
+// looked at, and header and coverage checks run on every stage regardless.
+TEST_F(ValidateMessageTest, StageFilterScopesOnlyPerOpChecks) {
+  ParallelConfig config = Even2();
+  const int op = config.stage(1).first_op;
+  config.MutableOpSettings(op).tp = 3;
+  const std::string expected =
+      "stage 1 op " + graph_.op(op).name + ": tp/dp must be powers of two";
+
+  const std::vector<int> touched{1};
+  const std::vector<int> untouched{0};
+  const std::vector<int> none;
+  EXPECT_EQ(config.Validate(graph_, cluster_, &touched).message(), expected);
+  EXPECT_TRUE(config.Validate(graph_, cluster_, &untouched).ok());
+  EXPECT_TRUE(config.Validate(graph_, cluster_, &none).ok());
+
+  ParallelConfig header = Even2();
+  header.MutableStage(0).num_devices = 2;
+  EXPECT_EQ(header.Validate(graph_, cluster_, &none).message(),
+            "stage devices sum to 6, cluster has 8");
+  ParallelConfig gap = Even2();
+  gap.MutableStage(1).first_op += 1;
+  EXPECT_FALSE(gap.Validate(graph_, cluster_, &none).ok());
+}
+
 struct TagAnnotation : StageAnnotation {
   explicit TagAnnotation(int tag) : tag(tag) {}
   int tag;
