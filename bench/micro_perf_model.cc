@@ -217,6 +217,44 @@ void BM_Validate(benchmark::State& state) {
 }
 BENCHMARK(BM_Validate);
 
+// Saved-plan text codec (DESIGN.md §19) on a plan the size a deep search
+// saves: deepnet-256 on 16 GPUs in 4 stages with recompute on alternate
+// blocks of four ops, 1,027 op runs and 14.9 kB of text in all.
+struct CodecFixture {
+  CodecFixture()
+      : graph(*models::BuildByName("deepnet-256")),
+        config(*MakeEvenConfig(graph, ClusterSpec::WithGpuCount(16), 4, 2)) {
+    for (int i = 0; i < graph.num_ops(); ++i) {
+      config.MutableOpSettings(i).recompute = (i / 4) % 2 == 1;
+    }
+    text = SerializeConfig(config, graph.name());
+  }
+
+  OpGraph graph;
+  ParallelConfig config;
+  std::string text;
+};
+
+void BM_ParseConfig(benchmark::State& state) {
+  CodecFixture f;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ParseConfig(f.text, f.graph));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(f.text.size()));
+}
+BENCHMARK(BM_ParseConfig);
+
+void BM_SerializeConfig(benchmark::State& state) {
+  CodecFixture f;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SerializeConfig(f.config, f.graph.name()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(f.text.size()));
+}
+BENCHMARK(BM_SerializeConfig);
+
 }  // namespace
 }  // namespace aceso
 

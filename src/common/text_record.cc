@@ -1,22 +1,23 @@
 #include "src/common/text_record.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
+#include <cstdlib>
+#include <filesystem>
+#include <system_error>
 
 namespace aceso {
 namespace {
 
 // Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& s) {
+std::string_view Trim(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) {
+  while (begin < end && IsTextSpace(s[begin])) {
     ++begin;
   }
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) {
+  while (end > begin && IsTextSpace(s[end - 1])) {
     --end;
   }
   return s.substr(begin, end - begin);
@@ -78,28 +79,30 @@ StatusOr<double> TextRecord::GetDouble(const std::string& key) const {
   return parsed;
 }
 
-std::string SerializeRecords(const std::vector<TextRecord>& records) {
-  std::ostringstream oss;
-  for (const TextRecord& record : records) {
-    oss << "record {\n";
-    for (const auto& [key, value] : record.fields()) {
-      oss << "  " << key << " = " << value << "\n";
+std::optional<std::string_view> TextRecordView::Find(
+    std::string_view key) const {
+  for (auto it = fields.rbegin(); it != fields.rend(); ++it) {
+    if (it->key == key) {
+      return it->value;
     }
-    oss << "}\n";
   }
-  return oss.str();
+  return std::nullopt;
 }
 
-StatusOr<std::vector<TextRecord>> ParseRecords(const std::string& text) {
-  std::vector<TextRecord> records;
-  std::istringstream iss(text);
-  std::string line;
+StatusOr<std::vector<TextRecordView>> ScanRecords(std::string_view text) {
+  std::vector<TextRecordView> records;
   bool in_record = false;
-  TextRecord current;
+  TextRecordView current;
   int line_no = 0;
-  while (std::getline(iss, line)) {
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t newline = text.find('\n', pos);
+    if (newline == std::string_view::npos) {
+      newline = text.size();
+    }
+    const std::string_view trimmed = Trim(text.substr(pos, newline - pos));
+    pos = newline + 1;
     ++line_no;
-    const std::string trimmed = Trim(line);
     if (trimmed.empty() || trimmed[0] == '#') {
       continue;
     }
@@ -109,7 +112,7 @@ StatusOr<std::vector<TextRecord>> ParseRecords(const std::string& text) {
                                std::to_string(line_no));
       }
       in_record = true;
-      current = TextRecord();
+      current.fields.clear();
       continue;
     }
     if (trimmed == "}") {
@@ -117,20 +120,20 @@ StatusOr<std::vector<TextRecord>> ParseRecords(const std::string& text) {
         return InvalidArgument("stray '}' at line " + std::to_string(line_no));
       }
       in_record = false;
-      records.push_back(current);
+      records.push_back(std::move(current));
+      current = TextRecordView();
       continue;
     }
     const size_t eq = trimmed.find('=');
-    if (!in_record || eq == std::string::npos) {
+    if (!in_record || eq == std::string_view::npos) {
       return InvalidArgument("malformed line " + std::to_string(line_no) +
-                             ": " + trimmed);
+                             ": " + std::string(trimmed));
     }
-    const std::string key = Trim(trimmed.substr(0, eq));
-    const std::string value = Trim(trimmed.substr(eq + 1));
+    const std::string_view key = Trim(trimmed.substr(0, eq));
     if (key.empty()) {
       return InvalidArgument("empty key at line " + std::to_string(line_no));
     }
-    current.Set(key, value);
+    current.fields.push_back({key, Trim(trimmed.substr(eq + 1))});
   }
   if (in_record) {
     return InvalidArgument("unterminated record at end of input");
@@ -138,28 +141,102 @@ StatusOr<std::vector<TextRecord>> ParseRecords(const std::string& text) {
   return records;
 }
 
+void TextRecordWriter::Field(std::string_view key, std::string_view value) {
+  BeginField(key) += value;
+  EndField();
+}
+
+void TextRecordWriter::IntField(std::string_view key, int64_t value) {
+  char buf[24];  // what std::to_string prints, without a temporary
+  const char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  Field(key, std::string_view(buf, static_cast<size_t>(end - buf)));
+}
+
+std::string& TextRecordWriter::BeginField(std::string_view key) {
+  out_ += "  ";
+  out_ += key;
+  out_ += " = ";
+  return out_;
+}
+
+std::string SerializeRecords(const std::vector<TextRecord>& records) {
+  std::string out;
+  TextRecordWriter writer(&out);
+  for (const TextRecord& record : records) {
+    writer.BeginRecord();
+    for (const auto& [key, value] : record.fields()) {
+      writer.Field(key, value);
+    }
+    writer.EndRecord();
+  }
+  return out;
+}
+
+StatusOr<std::vector<TextRecord>> ParseRecords(std::string_view text) {
+  auto views = ScanRecords(text);
+  if (!views.ok()) {
+    return views.status();
+  }
+  std::vector<TextRecord> records(views->size());
+  for (size_t r = 0; r < views->size(); ++r) {
+    for (const TextField& field : (*views)[r].fields) {
+      records[r].Set(std::string(field.key), std::string(field.value));
+    }
+  }
+  return records;
+}
+
 Status WriteRecordsToFile(const std::string& path,
                           const std::vector<TextRecord>& records) {
-  std::ofstream out(path);
-  if (!out) {
-    return Internal("cannot open for writing: " + path);
-  }
-  out << SerializeRecords(records);
-  out.flush();
-  if (!out) {
-    return Internal("write failed: " + path);
-  }
-  return OkStatus();
+  return WriteTextFile(path, SerializeRecords(records));
 }
 
 StatusOr<std::vector<TextRecord>> ReadRecordsFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  auto text = ReadTextFile(path);
+  if (!text.ok()) {
+    return text.status();
+  }
+  return ParseRecords(*text);
+}
+
+StatusOr<std::string> ReadTextFile(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
     return NotFound("cannot open for reading: " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseRecords(buffer.str());
+  // Read a regular file straight into a string of its size, then append
+  // whatever is left (all of it for a pipe, which has no size).
+  std::string text;
+  std::error_code error;
+  const uintmax_t size = std::filesystem::file_size(path, error);
+  if (!error && size > 0) {
+    text.resize(static_cast<size_t>(size));
+    text.resize(std::fread(text.data(), 1, text.size(), file));
+  }
+  char chunk[1 << 14];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
+    text.append(chunk, n);
+  }
+  const bool failed = std::ferror(file) != 0;
+  std::fclose(file);
+  if (failed) {
+    return Internal("read failed: " + path);
+  }
+  return text;
+}
+
+Status WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  if (file == nullptr) {
+    return Internal("cannot open for writing: " + path);
+  }
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), file) == text.size();
+  if (std::fclose(file) != 0 || !written) {
+    return Internal("write failed: " + path);
+  }
+  return OkStatus();
 }
 
 }  // namespace aceso
