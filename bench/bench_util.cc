@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <fstream>
 
 namespace aceso {
 namespace bench {
@@ -41,22 +43,22 @@ double BenchBudgetSeconds() {
 
 bool QuickMode() { return std::getenv("ACESO_BENCH_QUICK") != nullptr; }
 
-std::vector<double> GptSizes() {
-  if (QuickMode()) {
+std::vector<double> GptSizes(bool quick) {
+  if (quick) {
     return {0.35, 1.3};
   }
   return {0.35, 1.3, 2.6, 6.7, 13};
 }
 
-std::vector<double> T5Sizes() {
-  if (QuickMode()) {
+std::vector<double> T5Sizes(bool quick) {
+  if (quick) {
     return {0.77, 3};
   }
   return {0.77, 3, 6, 11, 22};
 }
 
-std::vector<double> WrnSizes() {
-  if (QuickMode()) {
+std::vector<double> WrnSizes(bool quick) {
+  if (quick) {
     return {0.5, 2};
   }
   return {0.5, 2, 4, 6.8, 13};
@@ -68,6 +70,50 @@ SearchOptions DefaultSearchOptions() {
   options.max_hops = 7;
   options.seed = 20240422;
   return options;
+}
+
+SearchOptions FixedEvaluationSearchOptions(int64_t max_evaluations) {
+  SearchOptions options = DefaultSearchOptions();
+  options.time_budget_seconds = 1e9;  // evaluation-budget limited
+  options.max_evaluations = max_evaluations;
+  return options;
+}
+
+bool ParseGateArgs(int argc, char** argv, GateArgs* args) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      args->quick = true;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
+      args->out_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n", argv[0]);
+      return false;
+    }
+  }
+  return true;
+}
+
+bool WriteBenchReport(const std::string& path, const std::string& executable,
+                      const std::vector<BenchMetric>& metrics) {
+  std::string json = "{\"context\":{\"executable\":\"" + executable + "\"},";
+  json += "\"benchmarks\":[";
+  for (size_t i = 0; i < metrics.size(); ++i) {
+    if (i > 0) {
+      json += ",";
+    }
+    json += "{\"name\":\"" + metrics[i].name +
+            "\",\"run_type\":\"iteration\",\"real_time\":" +
+            std::to_string(metrics[i].value) + ",\"time_unit\":\"ns\"}";
+  }
+  json += "]}";
+  std::ofstream out(path, std::ios::binary);
+  out << json << "\n";
+  if (!out.good()) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("report written to %s\n", path.c_str());
+  return true;
 }
 
 void PrintHeader(const std::string& experiment, const std::string& claim) {

@@ -54,12 +54,36 @@ double BenchBudgetSeconds();
 bool QuickMode();
 
 // Paper model-size ladders (Table 2); in quick mode the list is truncated.
-std::vector<double> GptSizes();
-std::vector<double> T5Sizes();
-std::vector<double> WrnSizes();
+std::vector<double> GptSizes(bool quick = QuickMode());
+std::vector<double> T5Sizes(bool quick = QuickMode());
+std::vector<double> WrnSizes(bool quick = QuickMode());
 
 // Default SearchOptions for benches (budget from env, fixed seed).
 SearchOptions DefaultSearchOptions();
+
+// DefaultSearchOptions with the wall clock lifted and `max_evaluations` per
+// stage count as the only budget, so the result is bit-reproducible.
+SearchOptions FixedEvaluationSearchOptions(int64_t max_evaluations);
+
+// The command line of the experiments CI gates: [--quick] [--out FILE].
+// `quick` starts from ACESO_BENCH_QUICK. Returns false, after printing the
+// usage line, on any other argument.
+struct GateArgs {
+  bool quick = QuickMode();
+  std::string out_path;
+};
+bool ParseGateArgs(int argc, char** argv, GateArgs* args);
+
+// Writes `metrics` as a google-benchmark-format report that
+// tools/check_bench_regression.py compares against bench/baselines/: each
+// value is one benchmark's real_time (ns for wall times; a scaled quality
+// figure otherwise). Returns false if the file could not be written.
+struct BenchMetric {
+  std::string name;
+  double value = 0.0;
+};
+bool WriteBenchReport(const std::string& path, const std::string& executable,
+                      const std::vector<BenchMetric>& metrics);
 
 // Prints the experiment banner.
 void PrintHeader(const std::string& experiment, const std::string& claim);

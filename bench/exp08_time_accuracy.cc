@@ -7,6 +7,14 @@
 // Paper claims to reproduce in shape: small average error (paper: 2.70% on
 // GPT-3, 7.29% on Wide-ResNet), with the convolutional family noisier than
 // the transformer family.
+//
+//   exp08_time_accuracy [--quick] [--out BENCH_exp08.json]
+//
+// Exits nonzero if either family's mean error exceeds the paper's figure.
+// --quick runs the two smallest settings per family at a fixed evaluation
+// budget, so the errors are bit-reproducible; --out writes them (x1000) as a
+// google-benchmark-format report for tools/check_bench_regression.py against
+// bench/baselines/exp08_time_accuracy_baseline.json.
 
 #include <cmath>
 #include <cstdio>
@@ -18,8 +26,15 @@ namespace aceso {
 namespace bench {
 namespace {
 
+// Paper Figure 15 mean errors (%), the gate's upper bounds.
+constexpr double kPaperGptError = 2.70;
+constexpr double kPaperWrnError = 7.29;
+
+// Quick mode's per-stage-count evaluation budget.
+constexpr int64_t kQuickEvaluations = 1000;
+
 double RunFamily(const std::string& prefix, const std::vector<double>& sizes,
-                 TablePrinter& table) {
+                 const SearchOptions& options, TablePrinter& table) {
   double error_sum = 0.0;
   int count = 0;
   for (size_t i = 0; i < sizes.size(); ++i) {
@@ -29,7 +44,6 @@ double RunFamily(const std::string& prefix, const std::vector<double>& sizes,
     const int gpus = models::GpusForSizeIndex(static_cast<int>(i));
     Workload workload(name, gpus);
 
-    SearchOptions options = DefaultSearchOptions();
     const SearchResult search = AcesoSearch(workload.model(), options);
     if (!search.found) {
       continue;
@@ -55,18 +69,38 @@ double RunFamily(const std::string& prefix, const std::vector<double>& sizes,
 }  // namespace bench
 }  // namespace aceso
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aceso;
   using namespace aceso::bench;
+  GateArgs args;
+  if (!ParseGateArgs(argc, argv, &args)) {
+    return 2;
+  }
   PrintHeader("Exp#8: iteration-time prediction accuracy (Figure 15)",
               "average prediction error 2.70% (GPT-3) and 7.29% "
               "(Wide-ResNet) in the paper");
 
+  const SearchOptions options =
+      args.quick ? FixedEvaluationSearchOptions(kQuickEvaluations)
+                 : DefaultSearchOptions();
   TablePrinter table({"setting", "predicted(s)", "actual(s)", "error"});
-  const double gpt_err = RunFamily("gpt3-", GptSizes(), table);
-  const double wrn_err = RunFamily("wresnet-", WrnSizes(), table);
+  const double gpt_err =
+      RunFamily("gpt3-", GptSizes(args.quick), options, table);
+  const double wrn_err =
+      RunFamily("wresnet-", WrnSizes(args.quick), options, table);
   table.Print(std::cout);
   std::printf("\naverage error: GPT-3 %.2f%%, Wide-ResNet %.2f%%\n", gpt_err,
               wrn_err);
-  return 0;
+
+  const bool pass = gpt_err <= kPaperGptError && wrn_err <= kPaperWrnError;
+  std::printf("gate: GPT-3 <= %.2f%%, Wide-ResNet <= %.2f%% -> %s\n",
+              kPaperGptError, kPaperWrnError, pass ? "PASS" : "FAIL");
+  if (!args.out_path.empty() &&
+      !WriteBenchReport(args.out_path, "exp08_time_accuracy",
+                        {{"exp08/gpt3_mean_error_x1000", gpt_err * 1000.0},
+                         {"exp08/wresnet_mean_error_x1000",
+                          wrn_err * 1000.0}})) {
+    return 1;
+  }
+  return pass ? 0 : 1;
 }

@@ -7,6 +7,15 @@
 // Paper claims to reproduce in shape: predictions deliberately overestimate
 // (never OOM in practice), with average error around 14% (GPT-3) and 9%
 // (Wide-ResNet), largest on 1-GPU settings.
+//
+//   exp09_memory_accuracy [--quick] [--out BENCH_exp09.json]
+//
+// Exits nonzero if either family's mean error (1-GPU settings included, as
+// in the paper's figures) exceeds the paper's. --quick runs the two smallest
+// settings per family at a fixed evaluation budget, so the errors are
+// bit-reproducible; --out writes them (x1000) as a google-benchmark-format
+// report for tools/check_bench_regression.py against
+// bench/baselines/exp09_memory_accuracy_baseline.json.
 
 #include <cmath>
 #include <cstdio>
@@ -23,8 +32,16 @@ struct FamilyError {
   double without_single = 0.0;
 };
 
+// Paper Figure 16 mean errors (%), the gate's upper bounds.
+constexpr double kPaperGptError = 14.26;
+constexpr double kPaperWrnError = 9.14;
+
+// Quick mode's per-stage-count evaluation budget.
+constexpr int64_t kQuickEvaluations = 1000;
+
 FamilyError RunFamily(const std::string& prefix,
-                      const std::vector<double>& sizes, TablePrinter& table) {
+                      const std::vector<double>& sizes,
+                      const SearchOptions& options, TablePrinter& table) {
   double sum_all = 0.0;
   int count_all = 0;
   double sum_multi = 0.0;
@@ -36,7 +53,6 @@ FamilyError RunFamily(const std::string& prefix,
     const int gpus = models::GpusForSizeIndex(static_cast<int>(i));
     Workload workload(name, gpus);
 
-    SearchOptions options = DefaultSearchOptions();
     const SearchResult search = AcesoSearch(workload.model(), options);
     if (!search.found) {
       continue;
@@ -74,20 +90,41 @@ FamilyError RunFamily(const std::string& prefix,
 }  // namespace bench
 }  // namespace aceso
 
-int main() {
+int main(int argc, char** argv) {
   using namespace aceso;
   using namespace aceso::bench;
+  GateArgs args;
+  if (!ParseGateArgs(argc, argv, &args)) {
+    return 2;
+  }
   PrintHeader("Exp#9: memory prediction accuracy (Figure 16)",
               "predictions overestimate by design; paper errors 14.26% "
               "(GPT-3) and 9.14% (Wide-ResNet), smaller without 1-GPU cases");
 
+  const SearchOptions options =
+      args.quick ? FixedEvaluationSearchOptions(kQuickEvaluations)
+                 : DefaultSearchOptions();
   TablePrinter table({"setting", "predicted", "actual", "error", "direction"});
-  const FamilyError gpt = RunFamily("gpt3-", GptSizes(), table);
-  const FamilyError wrn = RunFamily("wresnet-", WrnSizes(), table);
+  const FamilyError gpt =
+      RunFamily("gpt3-", GptSizes(args.quick), options, table);
+  const FamilyError wrn =
+      RunFamily("wresnet-", WrnSizes(args.quick), options, table);
   table.Print(std::cout);
   std::printf("\naverage error: GPT-3 %.2f%% (%.2f%% excluding 1-GPU), "
               "Wide-ResNet %.2f%% (%.2f%% excluding 1-GPU)\n",
               gpt.with_single, gpt.without_single, wrn.with_single,
               wrn.without_single);
-  return 0;
+
+  const bool pass = gpt.with_single <= kPaperGptError &&
+                    wrn.with_single <= kPaperWrnError;
+  std::printf("gate: GPT-3 <= %.2f%%, Wide-ResNet <= %.2f%% -> %s\n",
+              kPaperGptError, kPaperWrnError, pass ? "PASS" : "FAIL");
+  if (!args.out_path.empty() &&
+      !WriteBenchReport(
+          args.out_path, "exp09_memory_accuracy",
+          {{"exp09/gpt3_mean_error_x1000", gpt.with_single * 1000.0},
+           {"exp09/wresnet_mean_error_x1000", wrn.with_single * 1000.0}})) {
+    return 1;
+  }
+  return pass ? 0 : 1;
 }

@@ -20,8 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,18 +40,11 @@ int main(int argc, char** argv) {
   using namespace aceso;
   using namespace aceso::bench;
 
-  bool quick = QuickMode();
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n", argv[0]);
-      return 2;
-    }
+  GateArgs args;
+  if (!ParseGateArgs(argc, argv, &args)) {
+    return 2;
   }
+  const bool quick = args.quick;
 
   PrintHeader("Frontier: one Pareto pass vs per-budget searches",
               "a single frontier-tracking search answers every memory "
@@ -163,30 +154,17 @@ int main(int argc, char** argv) {
   std::printf("worst frontier/independent ratio: %.3f -> %s\n", worst_ratio,
               pass ? "PASS" : "FAIL");
 
-  if (!out_path.empty()) {
-    std::string json = "{\"context\":{\"executable\":\"exp13_frontier\"},";
-    json += "\"benchmarks\":[";
-    json += "{\"name\":\"exp13/frontier_search\",\"run_type\":\"iteration\",";
-    json += "\"real_time\":" + std::to_string(frontier_seconds * 1e9) +
-            ",\"time_unit\":\"ns\"},";
-    json +=
-        "{\"name\":\"exp13/independent_searches\",\"run_type\":\"iteration\",";
-    json += "\"real_time\":" + std::to_string(independent_seconds * 1e9) +
-            ",\"time_unit\":\"ns\"},";
-    // Deterministic quality signal: worst per-budget ratio x1000 (a value
-    // drifting past 2x the pinned baseline means the frontier stopped
-    // matching dedicated searches — a search regression, not timer noise).
-    json +=
-        "{\"name\":\"exp13/quality_ratio_x1000\",\"run_type\":\"iteration\",";
-    json += "\"real_time\":" + std::to_string(worst_ratio * 1000.0) +
-            ",\"time_unit\":\"ns\"}]}";
-    std::ofstream out(out_path, std::ios::binary);
-    out << json << "\n";
-    if (!out.good()) {
-      std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
-      return 1;
-    }
-    std::printf("report written to %s\n", out_path.c_str());
+  // Deterministic quality signal next to the two wall times: the worst
+  // per-budget ratio x1000 (a value drifting past 2x the pinned baseline
+  // means the frontier stopped matching dedicated searches — a search
+  // regression, not timer noise).
+  if (!args.out_path.empty() &&
+      !WriteBenchReport(
+          args.out_path, "exp13_frontier",
+          {{"exp13/frontier_search", frontier_seconds * 1e9},
+           {"exp13/independent_searches", independent_seconds * 1e9},
+           {"exp13/quality_ratio_x1000", worst_ratio * 1000.0}})) {
+    return 1;
   }
   return pass ? 0 : 1;
 }

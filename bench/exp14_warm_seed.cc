@@ -29,8 +29,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -69,18 +67,11 @@ int main(int argc, char** argv) {
   using namespace aceso;
   using namespace aceso::bench;
 
-  bool quick = QuickMode();
-  std::string out_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--out FILE]\n", argv[0]);
-      return 2;
-    }
+  GateArgs args;
+  if (!ParseGateArgs(argc, argv, &args)) {
+    return 2;
   }
+  const bool quick = args.quick;
 
   PrintHeader("Warm seed: adapted-neighbor starts vs from-scratch search",
               "seeding a perturbed request's search with its neighbor's "
@@ -237,10 +228,8 @@ int main(int argc, char** argv) {
   std::printf("\n%d of %zu scenarios reached >=5x fewer evaluations -> %s\n",
               passed, outcomes.size(), pass ? "PASS" : "FAIL");
 
-  if (!out_path.empty()) {
-    std::string json = "{\"context\":{\"executable\":\"exp14_warm_seed\"},";
-    json += "\"benchmarks\":[";
-    bool first = true;
+  if (!args.out_path.empty()) {
+    std::vector<BenchMetric> metrics;
     for (const Outcome& outcome : outcomes) {
       // Deterministic quality signal: evals the seeded search needed to
       // match the unseeded final (or the full budget when it never did).
@@ -250,29 +239,16 @@ int main(int argc, char** argv) {
           outcome.seeded_evals > 0
               ? static_cast<double>(outcome.seeded_evals)
               : static_cast<double>(target_evals);
-      if (!first) json += ",";
-      first = false;
-      json += "{\"name\":\"exp14/" + outcome.name +
-              "/seeded_evals_to_match\",\"run_type\":\"iteration\",";
-      json += "\"real_time\":" + std::to_string(seeded_evals) +
-              ",\"time_unit\":\"ns\"},";
-      json += "{\"name\":\"exp14/" + outcome.name +
-              "/unseeded_search\",\"run_type\":\"iteration\",";
-      json += "\"real_time\":" + std::to_string(outcome.unseeded_seconds * 1e9) +
-              ",\"time_unit\":\"ns\"},";
-      json += "{\"name\":\"exp14/" + outcome.name +
-              "/seeded_search\",\"run_type\":\"iteration\",";
-      json += "\"real_time\":" + std::to_string(outcome.seeded_seconds * 1e9) +
-              ",\"time_unit\":\"ns\"}";
+      const std::string prefix = "exp14/" + outcome.name;
+      metrics.push_back({prefix + "/seeded_evals_to_match", seeded_evals});
+      metrics.push_back(
+          {prefix + "/unseeded_search", outcome.unseeded_seconds * 1e9});
+      metrics.push_back(
+          {prefix + "/seeded_search", outcome.seeded_seconds * 1e9});
     }
-    json += "]}";
-    std::ofstream out(out_path, std::ios::binary);
-    out << json << "\n";
-    if (!out.good()) {
-      std::fprintf(stderr, "failed to write %s\n", out_path.c_str());
+    if (!WriteBenchReport(args.out_path, "exp14_warm_seed", metrics)) {
       return 1;
     }
-    std::printf("report written to %s\n", out_path.c_str());
   }
   return pass ? 0 : 1;
 }

@@ -8,6 +8,7 @@
 #include <cstdint>
 
 #include "src/aceso.h"
+#include "src/serve/plan_protocol.h"
 
 namespace aceso {
 namespace {
@@ -254,6 +255,24 @@ void BM_SerializeConfig(benchmark::State& state) {
                           static_cast<int64_t>(f.text.size()));
 }
 BENCHMARK(BM_SerializeConfig);
+
+// The plan-cache key the daemon derives for every request (DESIGN.md §14).
+// The graph computes its semantic fingerprint once, so a key costs the same
+// on a 195-op and a 2,051-op model; a return to re-hashing every operator
+// per request is 10-100x slower here.
+void BM_PlanCacheKey(benchmark::State& state, const char* model_name) {
+  const OpGraph graph = *models::BuildByName(model_name);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(16);
+  serve::PlanRequest request;
+  request.model = model_name;
+  const SearchOptions options = serve::ToSearchOptions(request, 2);
+  benchmark::DoNotOptimize(serve::PlanCacheKey(graph, cluster, options));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::PlanCacheKey(graph, cluster, options));
+  }
+}
+BENCHMARK_CAPTURE(BM_PlanCacheKey, gpt3_0_35b, "gpt3-0.35b");
+BENCHMARK_CAPTURE(BM_PlanCacheKey, deepnet_256, "deepnet-256");
 
 }  // namespace
 }  // namespace aceso

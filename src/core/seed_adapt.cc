@@ -113,10 +113,7 @@ std::vector<char> SeedAdaptAllowedCuts(const OpGraph& graph,
     return ok;
   }
   constexpr int kMaxPeriod = 128;
-  std::vector<uint64_t> sig(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    sig[static_cast<size_t>(i)] = graph.op(i).Signature();
-  }
+  const std::vector<uint64_t>& sig = graph.op_signatures();
   int i = 0;
   while (i < n) {
     // Smallest period P with sig[i, i+P) == sig[i+P, i+2P).

@@ -197,10 +197,6 @@ PerformanceModel::PerformanceModel(const OpGraph* graph,
       op_memo_(memo_options) {
   ACESO_CHECK(graph != nullptr);
   ACESO_CHECK(db != nullptr);
-  op_signatures_.reserve(static_cast<size_t>(graph->num_ops()));
-  for (int i = 0; i < graph->num_ops(); ++i) {
-    op_signatures_.push_back(graph->op(i).Signature());
-  }
 }
 
 StageWalk PerformanceModel::WalkStage(const ParallelConfig& config,
@@ -413,8 +409,9 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   }
   const uint64_t* words =
       cached_words != nullptr ? cached_words->data() : local_words.data();
+  // Memo-key cores: the graph's per-op signatures, computed once at build.
   const uint64_t* sigs =
-      op_signatures_.data() + static_cast<size_t>(stage.first_op);
+      graph_->op_signatures().data() + static_cast<size_t>(stage.first_op);
 
   // Fetch the stage's walk plan, building and attaching it on first use.
   // The published plan is always built with compression on, and only read

@@ -204,10 +204,6 @@ class PerformanceModel {
   ClusterSpec cluster_;
   InterconnectModel interconnect_;
   ProfileDatabase* db_;
-  // op(i).Signature() for every graph op, computed once at construction:
-  // memo-key derivation runs per op per uncached stage walk and must not
-  // re-hash operator fields each time.
-  std::vector<uint64_t> op_signatures_;
   bool run_compression_ = true;
   mutable std::atomic<int64_t> eval_count_{0};
   mutable StageCostCache stage_cache_;

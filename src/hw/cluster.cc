@@ -1,6 +1,7 @@
 #include "src/hw/cluster.h"
 
 #include <sstream>
+#include <string>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -26,14 +27,28 @@ ClusterSpec ClusterSpec::PaperCluster() {
   return ClusterSpec();  // defaults model the paper's 4x8 V100 testbed
 }
 
+Status ClusterSpec::CheckGpuCount(int gpus) {
+  if (gpus < 1) {
+    return InvalidArgument("GPU count must be >= 1, got " +
+                           std::to_string(gpus));
+  }
+  if (gpus > 8 && gpus % 8 != 0) {
+    return InvalidArgument(
+        "GPU count " + std::to_string(gpus) +
+        " is not 1-8 or a multiple of 8 (multi-node clusters must be 8 "
+        "GPUs/node)");
+  }
+  return OkStatus();
+}
+
 ClusterSpec ClusterSpec::WithGpuCount(int gpus) {
-  ACESO_CHECK_GT(gpus, 0);
+  const Status valid = CheckGpuCount(gpus);
+  ACESO_CHECK(valid.ok()) << valid.message();
   ClusterSpec cluster;
   if (gpus <= 8) {
     cluster.num_nodes = 1;
     cluster.gpus_per_node = gpus;
   } else {
-    ACESO_CHECK_EQ(gpus % 8, 0) << "multi-node clusters must be 8 GPUs/node";
     cluster.num_nodes = gpus / 8;
     cluster.gpus_per_node = 8;
   }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/status.h"
 #include "src/hw/gpu_spec.h"
 
 namespace aceso {
@@ -44,7 +45,13 @@ struct ClusterSpec {
   static ClusterSpec PaperCluster();
 
   // A cluster with `gpus` total devices (filled node by node, 8 per node).
+  // CHECK-fails unless CheckGpuCount(gpus) is OK.
   static ClusterSpec WithGpuCount(int gpus);
+
+  // The one statement of which device counts WithGpuCount accepts: 1 to 8
+  // GPUs on a single node, or a whole number of 8-GPU nodes. Request and
+  // flag parsers return this status instead of letting WithGpuCount abort.
+  static Status CheckGpuCount(int gpus);
 
   // Semantic fingerprint over topology, link parameters, and the GPU spec.
   // Two clusters with equal fingerprints produce identical simulated

@@ -35,15 +35,30 @@ int64_t OpGraph::TotalActivationBytes() const {
   return total;
 }
 
+void OpGraph::AddOp(Operator op) {
+  op_signatures_.push_back(op.Signature());
+  ops_.push_back(std::move(op));
+  fingerprint_.Reset();
+}
+
 uint64_t OpGraph::SemanticFingerprint() const {
+  uint64_t fingerprint = fingerprint_.Load();
+  if (fingerprint == 0) {
+    fingerprint = ComputeSemanticFingerprint();
+    fingerprint_.Store(fingerprint);
+  }
+  return fingerprint;
+}
+
+uint64_t OpGraph::ComputeSemanticFingerprint() const {
   Hasher h;
   h.Add(static_cast<int>(precision_));
   h.Add(global_batch_size_);
   h.Add(num_ops());
-  for (const Operator& op : ops_) {
+  for (size_t i = 0; i < ops_.size(); ++i) {
     Hasher per_op;
-    per_op.Add(op.Signature());
-    per_op.Add(static_cast<int>(op.default_tp_dim));
+    per_op.Add(op_signatures_[i]);
+    per_op.Add(static_cast<int>(ops_[i].default_tp_dim));
     h.Add(Mix64(per_op.Digest()));
   }
   return h.Digest();

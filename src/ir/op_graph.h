@@ -8,6 +8,7 @@
 #ifndef SRC_IR_OP_GRAPH_H_
 #define SRC_IR_OP_GRAPH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,7 +29,10 @@ class OpGraph {
   const std::string& name() const { return name_; }
   Precision precision() const { return precision_; }
   int64_t global_batch_size() const { return global_batch_size_; }
-  void set_global_batch_size(int64_t batch) { global_batch_size_ = batch; }
+  void set_global_batch_size(int64_t batch) {
+    global_batch_size_ = batch;
+    fingerprint_.Reset();
+  }
 
   int num_ops() const { return static_cast<int>(ops_.size()); }
   const Operator& op(int index) const {
@@ -36,7 +40,13 @@ class OpGraph {
   }
   const std::vector<Operator>& ops() const { return ops_; }
 
-  void AddOp(Operator op) { ops_.push_back(std::move(op)); }
+  // op(i).Signature() for every op, in chain order, computed once as the op
+  // is added. This is the one owner of per-op signatures: the cost model's
+  // memo keys, seed adaptation's repeat detection and the serving family
+  // fingerprint all read it instead of re-hashing operator fields.
+  const std::vector<uint64_t>& op_signatures() const { return op_signatures_; }
+
+  void AddOp(Operator op);
 
   // Total forward FLOPs per sample over all ops.
   double TotalFwdFlops() const;
@@ -60,13 +70,52 @@ class OpGraph {
   // identically, which is exactly what the serving plan cache (src/serve)
   // wants to key on. Each per-op term is Mix64-finalized before combining
   // (see src/common/hash.h on HashCombine's weak mixing).
+  //
+  // Computed on first use and cached, so every later call is O(1); AddOp and
+  // set_global_batch_size drop the cached value. Safe to call concurrently
+  // on a graph shared as const.
   uint64_t SemanticFingerprint() const;
 
  private:
+  // A lazily filled word that copies by value. 0 means "not computed": the
+  // one graph whose fingerprint really is 0 recomputes it on every call,
+  // which is correct, only slower. Concurrent readers of a const graph all
+  // compute and store the same value, so relaxed ordering is enough.
+  class CachedWord {
+   public:
+    CachedWord() = default;
+    CachedWord(const CachedWord& other) : value_(other.Load()) {}
+    CachedWord& operator=(const CachedWord& other) {
+      Store(other.Load());
+      return *this;
+    }
+    // A move carries the value and clears the source, whose ops are gone.
+    CachedWord(CachedWord&& other) noexcept : value_(other.Load()) {
+      other.Reset();
+    }
+    CachedWord& operator=(CachedWord&& other) noexcept {
+      Store(other.Load());
+      other.Reset();
+      return *this;
+    }
+    uint64_t Load() const { return value_.load(std::memory_order_relaxed); }
+    void Store(uint64_t value) const {
+      value_.store(value, std::memory_order_relaxed);
+    }
+    void Reset() { Store(0); }
+
+   private:
+    mutable std::atomic<uint64_t> value_{0};
+  };
+
+  uint64_t ComputeSemanticFingerprint() const;
+
   std::string name_;
   Precision precision_ = Precision::kFp16;
   int64_t global_batch_size_ = 1;
   std::vector<Operator> ops_;
+  std::vector<uint64_t> op_signatures_;
+  CachedWord fingerprint_;
 };
 
 }  // namespace aceso

@@ -86,6 +86,12 @@ StatusOr<PlanRequest> ParsePlanRequest(const JsonValue& doc) {
       have_model = true;
     } else if (key == "gpus") {
       st = TakeIntField(key, value, 1, &req.gpus);
+      if (st.ok()) {
+        const Status count = ClusterSpec::CheckGpuCount(req.gpus);
+        if (!count.ok()) {
+          st = FieldError(key, count.message().c_str());
+        }
+      }
     } else if (key == "budget_seconds") {
       st = TakeNumber(key, value, &req.budget_seconds);
       if (st.ok() && !(req.budget_seconds > 0.0)) {
@@ -219,8 +225,7 @@ uint64_t ModelFamilyFingerprint(const OpGraph& graph) {
   Hasher h;
   h.Add(static_cast<int>(graph.precision()));
   std::vector<uint64_t> seen;
-  for (const Operator& op : graph.ops()) {
-    const uint64_t sig = op.Signature();
+  for (const uint64_t sig : graph.op_signatures()) {
     bool is_new = true;
     for (const uint64_t s : seen) {
       if (s == sig) {

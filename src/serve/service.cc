@@ -250,6 +250,12 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
                                           JoinZooNames()));
   }
   const OpGraph& graph = **graph_or;
+  // ParsePlanRequest already rejects these; a request built in code must
+  // not reach WithGpuCount's CHECK either.
+  const Status gpus_ok = ClusterSpec::CheckGpuCount(request.gpus);
+  if (!gpus_ok.ok()) {
+    return error_response(gpus_ok);
+  }
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(request.gpus);
   const SearchOptions options =
       ToSearchOptions(request, options_.eval_threads);

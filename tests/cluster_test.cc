@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace aceso {
 namespace {
 
@@ -63,6 +65,18 @@ TEST(ClusterTest, SingleMemberGroupNeverCrosses) {
 TEST(ClusterTest, ToStringMentionsShape) {
   const ClusterSpec c = ClusterSpec::PaperCluster();
   EXPECT_NE(c.ToString().find("4x8"), std::string::npos);
+}
+
+TEST(ClusterTest, CheckGpuCountStatesWithGpuCountsRule) {
+  for (int g : {1, 2, 5, 8, 16, 24, 64}) {
+    EXPECT_TRUE(ClusterSpec::CheckGpuCount(g).ok()) << g;
+  }
+  for (int g : {0, -8, 9, 12, 20}) {
+    const Status st = ClusterSpec::CheckGpuCount(g);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << g;
+    EXPECT_NE(st.message().find(std::to_string(g)), std::string::npos)
+        << st.message();
+  }
 }
 
 TEST(ClusterDeathTest, NonMultipleOf8Rejected) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/ir/models/model_zoo.h"
 #include "src/serve/plan_protocol.h"
@@ -252,6 +255,108 @@ class PlanCacheKeyTest : public ::testing::Test {
     return request;
   }
 };
+
+// The key formulas as they stood before the graph cached its identity,
+// re-derived from every operator on each call. The O(1) keys must equal
+// them on every zoo model: the key contract did not move.
+uint64_t RecomputedSemanticFingerprint(const OpGraph& graph) {
+  Hasher h;
+  h.Add(static_cast<int>(graph.precision()));
+  h.Add(graph.global_batch_size());
+  h.Add(graph.num_ops());
+  for (const Operator& op : graph.ops()) {
+    Hasher per_op;
+    per_op.Add(op.Signature());
+    per_op.Add(static_cast<int>(op.default_tp_dim));
+    h.Add(Mix64(per_op.Digest()));
+  }
+  return h.Digest();
+}
+
+uint64_t RecomputedPlanCacheKey(const OpGraph& graph,
+                                const ClusterSpec& cluster,
+                                const SearchOptions& options) {
+  Hasher h;
+  h.Add(Mix64(RecomputedSemanticFingerprint(graph)));
+  h.Add(Mix64(cluster.Fingerprint()));
+  h.Add(Mix64(SearchOptionsSemanticHash(options)));
+  return Mix64(h.Digest());
+}
+
+uint64_t RecomputedNeighborFamilyKey(const OpGraph& graph,
+                                     const ClusterSpec& cluster) {
+  Hasher model;
+  model.Add(static_cast<int>(graph.precision()));
+  std::vector<uint64_t> seen;
+  for (const Operator& op : graph.ops()) {
+    const uint64_t sig = op.Signature();
+    if (std::find(seen.begin(), seen.end(), sig) == seen.end()) {
+      seen.push_back(sig);
+      model.Add(sig);
+    }
+  }
+  model.Add(static_cast<int64_t>(seen.size()));
+  Hasher family;
+  family.Add(cluster.gpu.Fingerprint());
+  family.Add(cluster.nvlink_bandwidth);
+  family.Add(cluster.nvlink_latency);
+  family.Add(cluster.ib_bandwidth);
+  family.Add(cluster.ib_latency);
+  return HashCombine(Mix64(model.Digest()), Mix64(family.Digest()));
+}
+
+TEST_F(PlanCacheKeyTest, CachedIdentityKeysEqualTheRecomputedFormulas) {
+  std::vector<std::string> names = models::ZooNames();
+  names.push_back("deepnet-16");
+  names.push_back("deepnet-256");
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(16);
+  const SearchOptions options = ToSearchOptions(BaseRequest(), 2);
+  for (const std::string& name : names) {
+    auto graph = models::BuildByName(name);
+    ASSERT_TRUE(graph.ok()) << name;
+    // Twice: the first call fills the graph's cache, the second reads it.
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(graph->SemanticFingerprint(),
+                RecomputedSemanticFingerprint(*graph))
+          << name;
+      EXPECT_EQ(PlanCacheKey(*graph, cluster, options),
+                RecomputedPlanCacheKey(*graph, cluster, options))
+          << name;
+      EXPECT_EQ(NeighborFamilyKey(*graph, cluster),
+                RecomputedNeighborFamilyKey(*graph, cluster))
+          << name;
+    }
+  }
+}
+
+TEST_F(PlanCacheKeyTest, KeyValuesArePinned) {
+  // Literal values of the key contract; a change here invalidates every
+  // persisted or replicated plan-cache key and must be deliberate.
+  struct Pin {
+    const char* model;
+    int gpus;
+    uint64_t fingerprint;
+    uint64_t plan_key;
+    uint64_t family_key;
+  };
+  const Pin pins[] = {
+      {"gpt3-0.35b", 4, 0xd7430267d1e3e1a6ULL, 0xa09ccfc7728b86bfULL,
+       0xe88505bfbdffaa1bULL},
+      {"deepnet-256", 16, 0x3181a1f2ba3db2b6ULL, 0x22edb55c8c507ed3ULL,
+       0x6858621eed5c91a9ULL},
+  };
+  const SearchOptions options = ToSearchOptions(BaseRequest(), 2);
+  for (const Pin& pin : pins) {
+    auto graph = models::BuildByName(pin.model);
+    ASSERT_TRUE(graph.ok()) << pin.model;
+    const ClusterSpec cluster = ClusterSpec::WithGpuCount(pin.gpus);
+    EXPECT_EQ(graph->SemanticFingerprint(), pin.fingerprint) << pin.model;
+    EXPECT_EQ(PlanCacheKey(*graph, cluster, options), pin.plan_key)
+        << pin.model;
+    EXPECT_EQ(NeighborFamilyKey(*graph, cluster), pin.family_key)
+        << pin.model;
+  }
+}
 
 TEST_F(PlanCacheKeyTest, NonSemanticFieldsDoNotChangeTheKey) {
   const uint64_t base = KeyOf(BaseRequest());

@@ -86,6 +86,26 @@ TEST(PlanProtocolTest, RejectsWrongTypes) {
   EXPECT_FALSE(ParsePlanRequestJson("not json").ok());
 }
 
+TEST(PlanProtocolTest, RejectsGpuCountsNoClusterCanHold) {
+  // 12 GPUs is neither one node nor whole 8-GPU nodes: the parser must
+  // answer with a field error rather than let ClusterSpec abort later.
+  auto request =
+      ParsePlanRequestJson(R"({"model":"gpt3-0.35b","gpus":12})");
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(request.status().message().find("request field \"gpus\""),
+            std::string::npos)
+      << request.status().message();
+  EXPECT_NE(request.status().message().find("multiple of 8"),
+            std::string::npos)
+      << request.status().message();
+  for (const char* ok : {R"({"model":"gpt3-0.35b","gpus":1})",
+                         R"({"model":"gpt3-0.35b","gpus":6})",
+                         R"({"model":"gpt3-0.35b","gpus":24})"}) {
+    EXPECT_TRUE(ParsePlanRequestJson(ok).ok()) << ok;
+  }
+}
+
 TEST(PlanProtocolTest, RejectsUnknownSeedMode) {
   auto request = ParsePlanRequestJson(
       R"({"model":"gpt3-0.35b","seed_mode":"random"})");
@@ -277,6 +297,17 @@ TEST(PlanServiceTest, UnknownModelErrorListsZooNames) {
   ASSERT_TRUE(doc.ok());
   EXPECT_EQ(doc->Find("status")->string_value(), "error");
   EXPECT_EQ(doc->Find("code")->string_value(), "INVALID_ARGUMENT");
+}
+
+TEST(PlanServiceTest, UnbuildableGpuCountIsAnErrorNotAnAbort) {
+  // A request built in code skips ParsePlanRequest; Handle still refuses it.
+  PlanService service;
+  PlanRequest request = FastRequest();
+  request.gpus = 12;
+  const PlanService::Response response = service.Handle(request);
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(response.status.message().find("12"), std::string::npos);
+  EXPECT_EQ(service.stats().errors, 1);
 }
 
 TEST(PlanServiceTest, AdmissionRejectsWhenSaturated) {
@@ -637,6 +668,24 @@ TEST_F(PlanDaemonTest, ErrorStatusesMapOntoHttp) {
   auto save = HttpCall("127.0.0.1", port_, "POST", "/profile/save", "");
   ASSERT_TRUE(save.ok());
   EXPECT_EQ(save->status_code, 400);
+}
+
+TEST_F(PlanDaemonTest, UnbuildableGpuCountIs400AndTheDaemonKeepsServing) {
+  auto bad = HttpCall("127.0.0.1", port_, "POST", "/plan",
+                      R"({"model":"gpt3-0.35b","gpus":12})");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad->status_code, 400);
+  EXPECT_NE(bad->body.find("gpus"), std::string::npos) << bad->body;
+
+  // The same daemon answers the next request.
+  auto next = HttpCall("127.0.0.1", port_, "POST", "/plan",
+                       R"({"model":"gpt3-0.35b","gpus":4,
+                           "max_evaluations":40,"budget_seconds":60})");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next->status_code, 200);
+  auto doc = JsonParse(next->body);
+  ASSERT_TRUE(doc.ok()) << next->body;
+  EXPECT_EQ(doc->Find("status")->string_value(), "ok");
 }
 
 // Sends raw bytes and returns everything the server writes back. HttpCall

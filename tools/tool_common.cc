@@ -18,6 +18,7 @@ StatusOr<ModelAndCluster> LoadModelAndCluster(const std::string& model,
     }
     return Status(graph.status().code(), std::move(message));
   }
+  ACESO_RETURN_IF_ERROR(ClusterSpec::CheckGpuCount(gpus));
   ModelAndCluster out{std::move(graph).value(),
                       ClusterSpec::WithGpuCount(gpus)};
   return out;
