@@ -9,7 +9,6 @@
 // Paper claim to reproduce in shape: "Among all the cases, Aceso uses less
 // than 5% of the time used by Alpa."
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -19,34 +18,6 @@
 namespace aceso {
 namespace bench {
 namespace {
-
-// Wall-clock ratio of a fixed-work search (deterministic evaluation budget)
-// at eval_threads=1 vs 4: the DESIGN.md §11 intra-search parallel-evaluation
-// speedup. The trajectory is bit-identical at both settings, so the ratio
-// compares equal work.
-double EvalParallelSpeedup(const PerformanceModel& model) {
-  // Pool construction sits outside the timed region: the column measures
-  // the search, not thread startup (which dwarfs the tiny 1-GPU settings).
-  ThreadPool pool(4);
-  auto timed = [&model, &pool](int eval_threads) {
-    SearchOptions options = DefaultSearchOptions();
-    options.time_budget_seconds = 1e9;
-    options.max_evaluations = QuickMode() ? 200 : 800;
-    options.eval_threads = eval_threads;
-    if (eval_threads > 1) {
-      options.eval_pool = &pool;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    AcesoSearchForStages(model, options, 2);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start)
-        .count();
-  };
-  timed(1);  // discarded warm-up: both timed runs see warm shared caches
-  const double serial = timed(1);
-  const double parallel = timed(4);
-  return parallel > 0 ? serial / parallel : 0.0;
-}
 
 void RunFamily(const std::string& prefix, const std::vector<double>& sizes,
                TablePrinter& table) {
@@ -71,9 +42,7 @@ void RunFamily(const std::string& prefix, const std::vector<double>& sizes,
     }
     table.AddRow({model_name + " @" + std::to_string(gpus) + "gpu",
                   FormatDouble(aceso.search_seconds, 1), alpa_cell,
-                  ratio_cell,
-                  FormatDouble(EvalParallelSpeedup(workload.model()), 2) +
-                      "x"});
+                  ratio_cell});
   }
 }
 
@@ -86,8 +55,8 @@ int main() {
   using namespace aceso::bench;
   PrintHeader("Exp#2: search cost (Figure 8)",
               "Aceso uses less than 5% of Alpa's search time in every case");
-  TablePrinter table({"setting", "Aceso search(s)", "Alpa search(s)",
-                      "Aceso/Alpa", "par-eval 4T"});
+  TablePrinter table(
+      {"setting", "Aceso search(s)", "Alpa search(s)", "Aceso/Alpa"});
   RunFamily("gpt3-", GptSizes(), table);
   RunFamily("wresnet-", WrnSizes(), table);
   table.Print(std::cout);

@@ -265,7 +265,7 @@ void BM_PlanCacheKey(benchmark::State& state, const char* model_name) {
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(16);
   serve::PlanRequest request;
   request.model = model_name;
-  const SearchOptions options = serve::ToSearchOptions(request, 2);
+  const SearchOptions options = serve::ToSearchOptions(request);
   benchmark::DoNotOptimize(serve::PlanCacheKey(graph, cluster, options));
   for (auto _ : state) {
     benchmark::DoNotOptimize(serve::PlanCacheKey(graph, cluster, options));

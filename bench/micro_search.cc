@@ -119,38 +119,6 @@ void BM_SearchIterationBudget100msTelemetry(benchmark::State& state) {
 BENCHMARK(BM_SearchIterationBudget100msTelemetry)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SearchEvalThreads(benchmark::State& state) {
-  // Fixed-work search (deterministic evaluation budget, single stage
-  // count) at each intra-search evaluation-parallelism setting. The
-  // trajectory is bit-identical across args (DESIGN.md §11), so time per
-  // iteration is directly comparable: Arg(1) is the serial baseline and
-  // Arg(N)'s ratio to it is the parallel-evaluation speedup.
-  Fixture f;
-  const int eval_threads = static_cast<int>(state.range(0));
-  ThreadPool pool(static_cast<size_t>(eval_threads));
-  for (auto _ : state) {
-    SearchOptions options;
-    options.time_budget_seconds = 1e9;
-    options.max_evaluations = 500;
-    options.eval_threads = eval_threads;
-    if (eval_threads > 1) {
-      options.eval_pool = &pool;
-    }
-    benchmark::DoNotOptimize(AcesoSearchForStages(f.model, options, 4));
-  }
-  const ThreadPoolStats stats = pool.stats();
-  state.counters["pool_steals"] =
-      benchmark::Counter(static_cast<double>(stats.stolen));
-  state.counters["pool_helped"] =
-      benchmark::Counter(static_cast<double>(stats.helped));
-}
-BENCHMARK(BM_SearchEvalThreads)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // ----- Per-candidate construction + hash (CoW vs deep copy) -----
 //
 // The ISSUE-2 hot path: the search constructs a candidate by copying the
@@ -279,22 +247,18 @@ void BM_RehashAfterMutationUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_RehashAfterMutationUncached);
 
-// ----- Batched sibling-group evaluation (DESIGN.md §13) -----
+// ----- Sibling-group evaluation -----
 //
-// The ISSUE-6 hot path: the search scores a wave of sibling candidates that
-// all differ from their base in one stage. CandidateBatch resolves each
-// shared stage once and broadcasts the StageCost across lanes; the scalar
-// loop resolves every stage per candidate. With the stage cache disabled
-// the comparison isolates the structural saving (stages priced: L + (S-1)
-// batched vs L*S scalar for L lanes over S stages); with the cache enabled
-// it shows the residual lookup/hash traffic the broadcast still avoids.
+// The search scores a group of sibling candidates that all differ from
+// their base in one stage, one Evaluate() each. With the stage cache
+// disabled every stage is priced per candidate (L*S stage walks for L
+// siblings over S stages); with it enabled the unmutated stages are cache
+// hits, which is the search's steady state.
 
 // Arg: sibling-group size. Each sibling mutates stage 0 differently
-// (distinct recompute prefixes), so stages 1..S-1 are block-identical
-// across the group — the shape EvaluateBatch sees after dedup. Runs on the
-// 8-stage BigFixture: deeper pipelines share more stages per sibling, which
-// is exactly where the broadcast pays.
-template <bool kCacheEnabled, bool kBatched>
+// (distinct recompute prefixes), so stages 1..S-1 are identical across the
+// group. Runs on the 8-stage BigFixture.
+template <bool kCacheEnabled>
 void GroupEvalBench(benchmark::State& state) {
   BigFixture f;
   f.model.set_stage_cache_enabled(kCacheEnabled);
@@ -309,21 +273,9 @@ void GroupEvalBench(benchmark::State& state) {
     }
     siblings.push_back(std::move(sibling));
   }
-  if (kBatched) {
-    CandidateBatch batch(f.model);
-    for (auto _ : state) {
-      batch.Clear();
-      for (const ParallelConfig& sibling : siblings) {
-        batch.AddLane(&sibling);
-      }
-      batch.EvaluateAll();
-      benchmark::DoNotOptimize(batch.perf(0).iteration_time);
-    }
-  } else {
-    for (auto _ : state) {
-      for (const ParallelConfig& sibling : siblings) {
-        benchmark::DoNotOptimize(f.model.Evaluate(sibling));
-      }
+  for (auto _ : state) {
+    for (const ParallelConfig& sibling : siblings) {
+      benchmark::DoNotOptimize(f.model.Evaluate(sibling));
     }
   }
   state.counters["candidates_per_sec"] = benchmark::Counter(
@@ -331,23 +283,13 @@ void GroupEvalBench(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
-void BM_BatchedGroupEval(benchmark::State& state) {
-  GroupEvalBench<true, true>(state);
-}
-BENCHMARK(BM_BatchedGroupEval)->Arg(4)->Arg(8);
-
 void BM_ScalarGroupEval(benchmark::State& state) {
-  GroupEvalBench<true, false>(state);
+  GroupEvalBench<true>(state);
 }
 BENCHMARK(BM_ScalarGroupEval)->Arg(4)->Arg(8);
 
-void BM_BatchedGroupEvalNoCache(benchmark::State& state) {
-  GroupEvalBench<false, true>(state);
-}
-BENCHMARK(BM_BatchedGroupEvalNoCache)->Arg(4)->Arg(8);
-
 void BM_ScalarGroupEvalNoCache(benchmark::State& state) {
-  GroupEvalBench<false, false>(state);
+  GroupEvalBench<false>(state);
 }
 BENCHMARK(BM_ScalarGroupEvalNoCache)->Arg(4)->Arg(8);
 

@@ -35,7 +35,6 @@
 #include "src/core/finetune.h"
 #include "src/core/primitives.h"
 #include "src/core/search.h"
-#include "src/cost/batch_eval.h"
 #include "src/cost/perf_model.h"
 #include "src/cost/resource_usage.h"
 #include "src/cost/stage_cache.h"

@@ -3,312 +3,79 @@
 #include <utility>
 
 namespace aceso {
-namespace {
-
-// Which pool (if any) this thread is currently executing a task for, its
-// worker index in that pool (-1 for non-worker helpers), and how many of
-// that pool's tasks are on this thread's call stack. Helping makes these
-// genuinely dynamic: an external thread blocked in Wait() temporarily
-// becomes an executor, and nested waits from inside its helped task must
-// see themselves as "inside the pool".
-thread_local ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker = -1;
-thread_local int tls_stack_tasks = 0;
-
-}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
     num_threads = 1;
   }
-  deques_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    deques_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(static_cast<int>(i)); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  shutting_down_.store(true, std::memory_order_release);
-  NotifyStateChange();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutting_down_ = true;
+  }
+  work_ready_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  Enqueue(Task{std::move(task), nullptr});
-}
-
-void ThreadPool::Enqueue(Task task) {
-  // A worker (or a thread currently helping as one) keeps its work local:
-  // the back of its own deque, where it will pop it LIFO while the batch is
-  // hot. Everyone else goes through the shared injection queue.
-  WorkerQueue* target = &injection_;
-  if (tls_pool == this && tls_worker >= 0) {
-    target = deques_[static_cast<size_t>(tls_worker)].get();
-  }
-  in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   {
-    std::lock_guard<std::mutex> lock(target->mu);
-    target->q.push_back(std::move(task));
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.push_back(std::move(task));
+    ++pending_;
   }
-  queued_.fetch_add(1, std::memory_order_acq_rel);
-  NotifyStateChange();
-}
-
-bool ThreadPool::Dequeue(Task* task) {
-  // Fast out: nothing queued anywhere.
-  if (queued_.load(std::memory_order_acquire) == 0) {
-    return false;
-  }
-  const int self = tls_pool == this ? tls_worker : -1;
-  // 1. Own deque, newest first.
-  if (self >= 0) {
-    WorkerQueue& own = *deques_[static_cast<size_t>(self)];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.q.empty()) {
-      *task = std::move(own.q.back());
-      own.q.pop_back();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  // 2. Injection queue, oldest first.
-  {
-    std::lock_guard<std::mutex> lock(injection_.mu);
-    if (!injection_.q.empty()) {
-      *task = std::move(injection_.q.front());
-      injection_.q.pop_front();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return true;
-    }
-  }
-  // 3. Steal from the other workers, oldest first, round-robin from our
-  // right-hand neighbour so thieves spread across victims.
-  const size_t n = deques_.size();
-  const size_t start = self >= 0 ? static_cast<size_t>(self) + 1 : 0;
-  for (size_t offset = 0; offset < n; ++offset) {
-    const size_t victim = (start + offset) % n;
-    if (self >= 0 && victim == static_cast<size_t>(self)) {
-      continue;
-    }
-    WorkerQueue& q = *deques_[victim];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.q.empty()) {
-      *task = std::move(q.q.front());
-      q.q.pop_front();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      stolen_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::Execute(Task task, bool helping) {
-  // Adopt pool identity for the duration of the task, so nested Submit()
-  // lands on the right deque and nested Wait() knows this stack holds a
-  // pool task. Helpers from other threads keep worker index -1.
-  ThreadPool* const prev_pool = tls_pool;
-  const int prev_worker = tls_worker;
-  const int prev_stack = tls_stack_tasks;
-  if (tls_pool != this) {
-    tls_pool = this;
-    tls_worker = -1;
-    tls_stack_tasks = 0;
-  }
-  ++tls_stack_tasks;
-
-  std::exception_ptr error;
-  try {
-    task.fn();
-  } catch (...) {
-    error = std::current_exception();
-  }
-
-  --tls_stack_tasks;
-  tls_pool = prev_pool;
-  tls_worker = prev_worker;
-  tls_stack_tasks = prev_stack;
-
-  if (error != nullptr) {
-    if (task.group != nullptr) {
-      std::lock_guard<std::mutex> lock(task.group->error_mu_);
-      if (task.group->first_error_ == nullptr) {
-        task.group->first_error_ = error;
-      }
-    } else {
-      std::lock_guard<std::mutex> lock(error_mu_);
-      if (first_error_ == nullptr) {
-        first_error_ = error;
-      }
-    }
-  }
-
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  if (helping) {
-    helped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (task.group != nullptr) {
-    task.group->pending_.fetch_sub(1, std::memory_order_acq_rel);
-  }
-  in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-  // Completion can satisfy any waiter's predicate (group done, pool
-  // quiescent, worker shutdown); wake them all to re-check. Tasks are
-  // coarse (a model evaluation or a whole stage-count search), so the
-  // broadcast is not on any hot path.
-  NotifyStateChange();
-}
-
-bool ThreadPool::RunOneTask(bool helping) {
-  Task task;
-  if (!Dequeue(&task)) {
-    return false;
-  }
-  Execute(std::move(task), helping);
-  return true;
-}
-
-void ThreadPool::NotifyStateChange() {
-  // Acquiring mu_ orders this notification against waiters that checked
-  // their predicate under mu_ but have not yet blocked.
-  { std::lock_guard<std::mutex> lock(mu_); }
-  state_change_.notify_all();
-}
-
-void ThreadPool::WorkerLoop(int worker) {
-  tls_pool = this;
-  tls_worker = worker;
-  for (;;) {
-    if (RunOneTask(/*helping=*/false)) {
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    state_change_.wait(lock, [this] {
-      return queued_.load(std::memory_order_acquire) > 0 ||
-             (shutting_down_.load(std::memory_order_acquire) &&
-              in_flight_.load(std::memory_order_acquire) == 0);
-    });
-    if (shutting_down_.load(std::memory_order_acquire) &&
-        in_flight_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
-  }
+  work_ready_.notify_one();
 }
 
 void ThreadPool::Wait() {
-  const int64_t my_stack = tls_pool == this ? tls_stack_tasks : 0;
-  // The quiescence rule only excuses *wrapper* tasks for callers that are
-  // themselves inside one; an outside caller gets the full guarantee (every
-  // task finished, including the epilogues of nested waiters).
-  const bool inside = my_stack > 0;
-  for (;;) {
-    if (in_flight_.load(std::memory_order_acquire) - my_stack <= 0) {
-      break;
-    }
-    if (RunOneTask(/*helping=*/true)) {
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queued_.load(std::memory_order_acquire) > 0) {
-      continue;  // work appeared while acquiring the lock; go help
-    }
-    // Nothing to help with: publish the wrapper tasks on this stack as
-    // excused, so mutually-waiting tasks can recognize quiescence, and wake
-    // other waiters whose predicate this may have satisfied.
-    waiting_stack_tasks_.fetch_add(my_stack, std::memory_order_acq_rel);
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_.wait(lock, [this] { return pending_ == 0; });
+  if (first_error_ != nullptr) {
+    std::exception_ptr error = std::exchange(first_error_, nullptr);
     lock.unlock();
-    state_change_.notify_all();
-    lock.lock();
-    bool quiescent = false;
-    state_change_.wait(lock, [this, inside, &quiescent] {
-      if (queued_.load(std::memory_order_acquire) > 0) {
-        return true;
-      }
-      const int64_t excused =
-          inside ? waiting_stack_tasks_.load(std::memory_order_acquire) : 0;
-      if (in_flight_.load(std::memory_order_acquire) - excused <= 0) {
-        quiescent = true;
-        return true;
-      }
-      return false;
-    });
-    waiting_stack_tasks_.fetch_sub(my_stack, std::memory_order_acq_rel);
-    if (quiescent) {
-      break;
-    }
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error != nullptr) {
     std::rethrow_exception(error);
   }
 }
 
-ThreadPoolStats ThreadPool::stats() const {
-  ThreadPoolStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.executed = executed_.load(std::memory_order_relaxed);
-  s.stolen = stolen_.load(std::memory_order_relaxed);
-  s.helped = helped_.load(std::memory_order_relaxed);
-  return s;
+int64_t ThreadPool::executed() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return executed_;
 }
 
-TaskGroup::~TaskGroup() {
-  if (pending_.load(std::memory_order_acquire) > 0) {
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    work_ready_.wait(lock,
+                     [this] { return shutting_down_ || !queue_.empty(); });
+    if (queue_.empty()) {
+      return;  // shutting down with nothing left to run
+    }
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    std::exception_ptr error;
     try {
-      Wait();
+      task();
     } catch (...) {
-      // Wait() already drained the group; the error is dropped by contract.
+      error = std::current_exception();
+    }
+    task = nullptr;  // release captures before the task counts as finished
+    lock.lock();
+    if (error != nullptr && first_error_ == nullptr) {
+      first_error_ = std::move(error);
+    }
+    ++executed_;
+    if (--pending_ == 0) {
+      idle_.notify_all();
     }
   }
-}
-
-void TaskGroup::Submit(std::function<void()> task) {
-  pending_.fetch_add(1, std::memory_order_acq_rel);
-  pool_.Enqueue(ThreadPool::Task{std::move(task), this});
-}
-
-void TaskGroup::Wait() {
-  while (pending_.load(std::memory_order_acquire) > 0) {
-    if (pool_.RunOneTask(/*helping=*/true)) {
-      continue;
-    }
-    // Every remaining group task is running on some other thread; sleep
-    // until one finishes or new helpable work shows up.
-    std::unique_lock<std::mutex> lock(pool_.mu_);
-    pool_.state_change_.wait(lock, [this] {
-      return pending_.load(std::memory_order_acquire) == 0 ||
-             pool_.queued_.load(std::memory_order_acquire) > 0;
-    });
-  }
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(error_mu_);
-    error = first_error_;
-    first_error_ = nullptr;
-  }
-  if (error != nullptr) {
-    std::rethrow_exception(error);
-  }
-}
-
-void ParallelFor(ThreadPool& pool, size_t count,
-                 const std::function<void(size_t)>& fn) {
-  TaskGroup group(pool);
-  for (size_t i = 0; i < count; ++i) {
-    group.Submit([&fn, i] { fn(i); });
-  }
-  group.Wait();
 }
 
 }  // namespace aceso

@@ -1,180 +1,67 @@
-// Work-stealing worker pool used by the search at two nesting levels: the
-// parallel search over pipeline stage counts (§4.3: "Parallel search of
-// configuration under different pipeline stage numbers"), and — inside each
-// of those stage-count workers — the parallel batch evaluation of candidate
-// groups (DESIGN.md §11).
+// Fixed-size worker pool with one FIFO queue. It runs the search's
+// stage-count waves (§4.3: "Parallel search of configuration under
+// different pipeline stage numbers") and the planning service's search jobs.
 //
-// The nesting is what shapes the design. A stage-count worker submits a
-// batch of evaluation tasks and must wait for them *from inside its own
-// pool task*; a single-FIFO pool with a blocking Wait() deadlocks there
-// (the waiting worker occupies the only thread that could run the batch).
-// This pool therefore:
+// No task ever waits on the pool it runs on: AcesoSearch waits for its
+// waves from the calling thread, and the service only submits and drains.
+// That is what keeps this pool plain — one mutex, one queue, two condition
+// variables. Calling Wait() from inside one of the pool's own tasks would
+// deadlock (the task counts as unfinished); don't.
 //
-//   * keeps one deque per worker: a worker pushes and pops its own work
-//     LIFO (locality: a batch drains on the worker that created it) while
-//     idle workers steal FIFO from the other end of victims' deques;
-//   * ships TaskGroup, a completion scope whose Wait() *helps*: while its
-//     tasks are pending, the waiting thread drains pool tasks instead of
-//     blocking, so nested waits make progress even on a 1-thread pool;
-//   * makes pool-level Wait() safe from inside a worker task: tasks that
-//     are themselves blocked in Wait() are treated as complete for each
-//     other (quiescence), so nested pool-level waits cannot deadlock on
-//     their own wrapper tasks.
-//
-// Exceptions thrown by a task are captured and rethrown from the matching
-// Wait() (TaskGroup::Wait for group tasks, ThreadPool::Wait otherwise);
-// only the first exception is kept, the rest are dropped.
+// Exceptions thrown by a task are captured and rethrown from the next
+// Wait(); only the first is kept, the rest are dropped.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace aceso {
 
-class TaskGroup;
-
-// Monotonic pool activity counters (snapshot; see ThreadPool::stats()).
-struct ThreadPoolStats {
-  int64_t submitted = 0;  // tasks accepted by Submit()
-  int64_t executed = 0;   // tasks run to completion
-  int64_t stolen = 0;     // tasks taken from another worker's deque
-  int64_t helped = 0;     // tasks run inside a Wait() instead of a worker loop
-
-  ThreadPoolStats operator-(const ThreadPoolStats& other) const {
-    ThreadPoolStats d;
-    d.submitted = submitted - other.submitted;
-    d.executed = executed - other.executed;
-    d.stolen = stolen - other.stolen;
-    d.helped = helped - other.helped;
-    return d;
-  }
-};
-
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (at least 1).
   explicit ThreadPool(size_t num_threads);
 
-  // Drains outstanding work and joins the workers.
+  // Runs every queued task, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues a task for asynchronous execution. Callable from any thread,
-  // including from inside a running pool task (nested submission): a worker
-  // pushes onto its own deque, everyone else onto the shared injection
-  // queue.
+  // Enqueues a task for asynchronous execution. Callable from any thread.
   void Submit(std::function<void()> task);
 
-  // Blocks until every submitted task has finished executing, helping to
-  // drain queued tasks while waiting. Safe to call from inside a pool task:
-  // tasks currently blocked in Wait() count as finished for one another, so
-  // mutually-nested waits converge instead of deadlocking on their own
-  // wrappers. Rethrows the first exception captured from a group-less task
-  // since the previous Wait().
+  // Blocks until every submitted task has finished, then rethrows the first
+  // exception a task threw since the previous Wait().
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
 
-  ThreadPoolStats stats() const;
+  // Tasks run to completion so far (monotonic).
+  int64_t executed() const;
 
  private:
-  friend class TaskGroup;
+  void WorkerLoop();
 
-  struct Task {
-    std::function<void()> fn;
-    TaskGroup* group = nullptr;  // null for pool-level Submit()
-  };
-
-  // One worker's deque. Its owner pushes/pops at the back (LIFO); thieves
-  // and the injection path take from the front (FIFO), so the oldest —
-  // typically largest-remaining — work migrates first.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> q;
-  };
-
-  void WorkerLoop(int worker);
-  void Enqueue(Task task);
-  // Dequeues one task (own deque, then injection queue, then steal) and
-  // runs it. Returns false when no task was available.
-  bool RunOneTask(bool helping);
-  bool Dequeue(Task* task);
-  void Execute(Task task, bool helping);
-  void NotifyStateChange();
-
-  std::vector<std::unique_ptr<WorkerQueue>> deques_;  // one per worker
-  WorkerQueue injection_;  // submissions from non-worker threads
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;
-  std::condition_variable state_change_;
-  std::atomic<bool> shutting_down_{false};
-
-  std::atomic<int64_t> queued_{0};     // tasks sitting in a deque
-  std::atomic<int64_t> in_flight_{0};  // submitted but not yet finished
-  // Sum over threads currently blocked inside Wait() of the number of pool
-  // tasks on their call stacks — the wrappers the quiescence rule excuses.
-  std::atomic<int64_t> waiting_stack_tasks_{0};
-
-  std::atomic<int64_t> submitted_{0};
-  std::atomic<int64_t> executed_{0};
-  std::atomic<int64_t> stolen_{0};
-  std::atomic<int64_t> helped_{0};
-
-  std::mutex error_mu_;
-  std::exception_ptr first_error_;  // from group-less tasks
-};
-
-// A completion scope for one batch of tasks. The search's evaluation
-// batches each use one TaskGroup: the submitting stage-count worker calls
-// Wait(), which executes pending pool tasks (its own batch first, by deque
-// LIFO order) until the group's tasks have all finished — the batch makes
-// progress even when every pool thread is occupied by an outer search.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-
-  // Waits for stragglers so the group never outlives tasks referencing it;
-  // exceptions surfaced here are dropped (call Wait() to observe them).
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  // Enqueues a task belonging to this group.
-  void Submit(std::function<void()> task);
-
-  // Blocks until every task submitted to this group has finished, helping
-  // to drain the pool (any pool task, not only this group's) while tasks
-  // are pending. Rethrows the first exception thrown by a group task.
-  void Wait();
-
- private:
-  friend class ThreadPool;
-
-  ThreadPool& pool_;
-  std::atomic<int64_t> pending_{0};
-  std::mutex error_mu_;
+  mutable std::mutex mu_;
+  std::condition_variable work_ready_;  // queue non-empty or shutting down
+  std::condition_variable idle_;        // pending_ dropped to zero
+  std::deque<std::function<void()>> queue_;
+  int64_t pending_ = 0;  // submitted but not yet finished
+  int64_t executed_ = 0;
+  bool shutting_down_ = false;
   std::exception_ptr first_error_;
+  std::vector<std::thread> workers_;
 };
-
-// Runs fn(i) for i in [0, count) across the pool and waits for completion.
-// Built on TaskGroup, so it is safe to call from inside a pool task.
-void ParallelFor(ThreadPool& pool, size_t count,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace aceso
 

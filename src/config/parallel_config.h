@@ -299,17 +299,6 @@ class ParallelConfig {
   uint64_t StageSemanticHash(const OpGraph& graph, const ClusterSpec& cluster,
                              int stage_index) const;
 
-  // Identity of stage `stage_index`'s copy-on-write block. Equal identities
-  // mean the two stages *are* one shared immutable StageBlock — same stage
-  // data, same word cache, same annotation — which is how the batched group
-  // evaluator (src/cost/batch_eval) detects in O(1) that sibling candidates
-  // share an unmutated stage. Unequal identities promise nothing: two
-  // distinct blocks may still hold equal stage data (the stage-cost cache
-  // catches that case by hash). Valid until this config is mutated.
-  const void* StageBlockIdentity(int stage_index) const {
-    return stages_.at(static_cast<size_t>(stage_index)).get();
-  }
-
   // The per-op semantic words of stage `stage_index` for `graph`, served
   // from the stage block's word cache (computed and published on first use).
   // This is how the performance model's op-breakdown memo keys reuse the

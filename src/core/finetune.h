@@ -35,8 +35,8 @@ struct FineTuneOptions {
   // archive (DESIGN.md §15). Trials retarget tp/dp tails and flip sharding
   // dimensions — memory moves the walk itself rarely makes — so archiving
   // them widens the frontier's memory coverage at zero extra evaluations.
-  // FineTune runs on the search's serial spine, so offers here keep the
-  // archive bit-identical across eval_threads.
+  // FineTune runs inside the serial per-stage-count search, so offers here
+  // keep the archive deterministic.
   FrontierArchive* frontier = nullptr;
 };
 

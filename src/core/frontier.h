@@ -19,9 +19,9 @@
 //   - iteration_time is strictly descending along that order (no archived
 //     point weakly dominates another);
 //   - no two archived points share a config semantic hash;
-//   - Offer order is deterministic: the search offers candidates from its
-//     serial reduction only, so the archive is bit-identical at any
-//     SearchOptions::eval_threads.
+//   - Offer order is deterministic: each stage count's search is serial and
+//     offers candidates in evaluation order, so the archive is bit-identical
+//     run to run and at any SearchOptions::num_threads.
 
 #ifndef SRC_CORE_FRONTIER_H_
 #define SRC_CORE_FRONTIER_H_

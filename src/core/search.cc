@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -18,7 +17,6 @@
 #include "src/core/dp_seeder.h"
 #include "src/core/finetune.h"
 #include "src/core/primitives.h"
-#include "src/cost/batch_eval.h"
 
 namespace aceso {
 namespace {
@@ -237,29 +235,6 @@ class SingleSearch {
     }
     const double now = global_watch_.ElapsedSeconds();
     telemetry_->RecordTimer("search.worker_seconds", now - run_start);
-    // Evaluation-batching counters, accumulated locally and flushed once:
-    // they are diagnostics of *how* candidates were evaluated, never part of
-    // the event stream, which stays bit-identical across eval_threads.
-    if (eval_batches_ > 0) {
-      telemetry_->IncrCounter("search.eval_batches", eval_batches_);
-      telemetry_->IncrCounter("search.eval_batch_candidates",
-                              eval_batch_candidates_);
-    }
-    if (eval_serial_candidates_ > 0) {
-      telemetry_->IncrCounter("search.eval_serial_candidates",
-                              eval_serial_candidates_);
-    }
-    // Batched-group-evaluation diagnostics (DESIGN.md §13): how many SoA
-    // batches formed, lanes scored, and per-stage resolutions the sharing
-    // broadcast saved. Counters only, like the pool stats above.
-    if (batch_stats_.batches > 0) {
-      telemetry_->IncrCounter("search.batch_batches", batch_stats_.batches);
-      telemetry_->IncrCounter("search.batch_lanes", batch_stats_.lanes);
-      telemetry_->IncrCounter("search.batch_stage_groups",
-                              batch_stats_.stage_groups);
-      telemetry_->IncrCounter("search.batch_shared_saved",
-                              batch_stats_.shared_lookups_saved);
-    }
     if (dp_seed_evaluations_ > 0) {
       telemetry_->IncrCounter("search.dp_seed_evaluations",
                               dp_seed_evaluations_);
@@ -388,97 +363,52 @@ class SingleSearch {
         ShuffleInPlace(primitives);
       }
 
-      // The candidate group of this resource, in three phases (DESIGN.md
-      // §11). Phase 1 (serial): generate every primitive's candidates and
-      // hash + §4.3-deduplicate them in generation order, so in-batch
-      // duplicates resolve exactly as the candidate-at-a-time loop did.
-      // Phase 2: evaluate the surviving candidates — the only expensive,
-      // side-effect-free step — concurrently when a pool is attached.
-      // Phase 3 (serial): reduce in generation order, replaying the serial
-      // loop's bookkeeping (budget checks at primitive boundaries, stats,
-      // telemetry, top-k, unexplored pool, first-improvement cut) so the
-      // trajectory is bit-identical to eval_threads == 1; where the serial
-      // loop would have stopped before generating a candidate, the
-      // speculative visited_ inserts past that point are rolled back.
-      if (Exhausted()) {
-        return std::nullopt;
-      }
-      std::vector<BatchCandidate> batch;
-      std::vector<KindSpan> spans;
-      spans.reserve(primitives.size());
-      for (const PrimitiveKind kind : primitives) {
-        const size_t begin = batch.size();
-        for (Candidate& candidate : GeneratePrimitiveCandidates(
-                 model_, config.config, config.perf, kind, bottleneck.stage,
-                 options_.enable_recompute_attachment)) {
-          BatchCandidate bc;
-          bc.scored.config = std::move(candidate.config);
-          // The hash is computed exactly once per candidate and carried in
-          // the ScoredConfig for the top-k bookkeeping.
-          bc.scored.semantic_hash =
-              bc.scored.config.SemanticHash(model_.graph());
-          if (options_.enable_dedup &&
-              !visited_.insert(bc.scored.semantic_hash).second) {
-            bc.duplicate = true;  // §4.3 deduplication
-          } else {
-            bc.inserted = options_.enable_dedup;
-          }
-          batch.push_back(std::move(bc));
-        }
-        spans.push_back({kind, begin, batch.size()});
-      }
-
-      EvaluateBatch(batch);
-
+      // The candidate group of this resource, one candidate at a time in
+      // generation order: hash, §4.3 dedup, evaluate, then the top-k,
+      // frontier, first-improvement and unexplored-pool bookkeeping. The
+      // budget is checked before each primitive's candidates are generated.
       // The recursion group shares candidates (not copies) with the
       // unexplored pool.
       std::vector<std::shared_ptr<const ScoredConfig>> group;
-      for (const KindSpan& span : spans) {
-        // The serial loop checked the budget before generating each
-        // primitive's candidates; stopping here leaves the exact state it
-        // would have left.
+      for (const PrimitiveKind kind : primitives) {
         if (Exhausted()) {
-          RollbackVisited(batch, span.begin);
           return std::nullopt;
         }
-        for (size_t i = span.begin; i < span.end; ++i) {
-          BatchCandidate& bc = batch[i];
+        for (Candidate& candidate : GeneratePrimitiveCandidates(
+                 model_, config.config, config.perf, kind, bottleneck.stage,
+                 options_.enable_recompute_attachment)) {
           if (telemetry_ != nullptr) {
             ++iter_.generated;
           }
-          if (bc.duplicate) {
+          ScoredConfig scored;
+          scored.config = std::move(candidate.config);
+          // The hash is computed exactly once per candidate and carried in
+          // the ScoredConfig for the top-k bookkeeping.
+          scored.semantic_hash = scored.config.SemanticHash(model_.graph());
+          if (options_.enable_dedup &&
+              !visited_.insert(scored.semantic_hash).second) {
             if (telemetry_ != nullptr) {
-              ++iter_.deduped;
+              ++iter_.deduped;  // §4.3 deduplication
             }
             continue;
           }
-          if (!bc.evaluated) {
-            // Serial path: evaluate on first use, so a first-improvement cut
-            // below leaves the rest of the batch unevaluated, like the old
-            // candidate-at-a-time loop.
-            bc.scored.perf = model_.Evaluate(bc.scored.config);
-            bc.scored.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
-            bc.evaluated = true;
-            ++eval_serial_candidates_;
-          }
+          scored.perf = model_.Evaluate(scored.config);
+          scored.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
           ++stats_.configs_explored;
           if (telemetry_ != nullptr) {
             ++iter_.evaluated;
           }
-          RecordTopK(bc.scored);
-          OfferFrontier(bc.scored);
-          if (bc.scored.perf.BetterThan(init_perf)) {
-            // First improvement wins; the serial loop never generated the
-            // candidates after it, so un-visit them.
-            RollbackVisited(batch, i + 1);
+          RecordTopK(scored);
+          OfferFrontier(scored);
+          if (scored.perf.BetterThan(init_perf)) {
+            // First improvement wins.
             Improvement improvement;
-            improvement.found = std::move(bc.scored);
+            improvement.found = std::move(scored);
             improvement.hops = hop + 1;
-            improvement.primitive = span.kind;
+            improvement.primitive = kind;
             return improvement;
           }
-          auto shared =
-              std::make_shared<const ScoredConfig>(std::move(bc.scored));
+          auto shared = std::make_shared<const ScoredConfig>(std::move(scored));
           PushUnexplored(shared);
           group.push_back(std::move(shared));
         }
@@ -509,151 +439,6 @@ class SingleSearch {
     return std::nullopt;
   }
 
-  // One generated candidate of a hop's batch, in generation order.
-  struct BatchCandidate {
-    ScoredConfig scored;     // perf filled in by EvaluateBatch / reduction
-    bool duplicate = false;  // dropped by §4.3 dedup; never evaluated
-    bool inserted = false;   // this candidate's hash was added to visited_
-    bool evaluated = false;  // perf is valid
-  };
-
-  // The [begin, end) slice of the batch produced by one primitive kind.
-  struct KindSpan {
-    PrimitiveKind kind;
-    size_t begin;
-    size_t end;
-  };
-
-  // Phase 2: scores every non-duplicate candidate. Evaluate() is const and
-  // its caches (stage-cost cache, profile database) are sharded for
-  // concurrent access, so the batch fans out onto the evaluation pool when
-  // one is attached and the group is big enough to pay for the join; the
-  // submitting worker helps drain its own batch (TaskGroup::Wait), so this
-  // is safe even when every pool thread runs an outer stage-count search.
-  // Evaluation order does not affect any result bit: each task writes only
-  // its own candidate's perf, and all bookkeeping happens in the serial
-  // reduction that follows.
-  //
-  // Serial mode (no pool / small group) evaluates nothing here: the
-  // reduction evaluates lazily on first use, so candidates past a
-  // first-improvement cut are never evaluated — exactly the pre-batching
-  // work profile, with zero speculation. Parallel mode trades that
-  // speculative tail for concurrency; the reduction discards the extra
-  // perfs, so every result bit still matches.
-  //
-  // With batch_eval (default), groups of >= 2 survivors are scored through
-  // the SoA CandidateBatch (src/cost/batch_eval.h) instead of per-candidate
-  // Evaluate(): stages the siblings share resolve once and broadcast. Lane
-  // perfs are bit-identical to Evaluate() by the batch's contract, so the
-  // reduction — and therefore the trajectory — is unchanged; batching only
-  // trades the serial path's lazy tail for shared-stage resolution, the
-  // same trade the pooled path already makes. Pooled groups split into
-  // contiguous per-thread sub-batches (sharing is densest between adjacent
-  // candidates of one primitive, so contiguous slices keep most of it).
-  void EvaluateBatch(std::vector<BatchCandidate>& batch) {
-    int64_t survivors = 0;
-    for (const BatchCandidate& bc : batch) {
-      if (!bc.duplicate) {
-        ++survivors;
-      }
-    }
-    if (survivors == 0) {
-      return;
-    }
-    ThreadPool* pool = options_.eval_pool;
-    const bool pooled =
-        pool != nullptr && options_.eval_threads > 1 &&
-        survivors >= std::max<int64_t>(1, options_.parallel_eval_threshold);
-    if (options_.batch_eval && survivors >= 2) {
-      std::vector<BatchCandidate*> lanes;
-      lanes.reserve(static_cast<size_t>(survivors));
-      for (BatchCandidate& bc : batch) {
-        if (!bc.duplicate) {
-          bc.evaluated = true;
-          lanes.push_back(&bc);
-        }
-      }
-      if (pooled) {
-        // One sub-batch per evaluation thread, at least two lanes each.
-        const size_t chunks = std::min<size_t>(
-            static_cast<size_t>(options_.eval_threads), lanes.size() / 2);
-        std::vector<BatchEvalStats> chunk_stats(chunks);
-        TaskGroup tasks(*pool);
-        for (size_t c = 0; c < chunks; ++c) {
-          const size_t begin = c * lanes.size() / chunks;
-          const size_t end = (c + 1) * lanes.size() / chunks;
-          tasks.Submit([this, &lanes, &chunk_stats, c, begin, end] {
-            CandidateBatch sub(model_);
-            for (size_t i = begin; i < end; ++i) {
-              sub.AddLane(&lanes[i]->scored.config);
-            }
-            sub.EvaluateAll();
-            for (size_t i = begin; i < end; ++i) {
-              lanes[i]->scored.perf =
-                  sub.TakePerf(static_cast<int>(i - begin));
-              lanes[i]->scored.perf.ApplyMemoryLimit(
-                  options_.memory_budget_bytes);
-            }
-            chunk_stats[c] = sub.stats();
-          });
-        }
-        tasks.Wait();
-        for (const BatchEvalStats& s : chunk_stats) {
-          batch_stats_ += s;
-        }
-        ++eval_batches_;
-        eval_batch_candidates_ += survivors;
-      } else {
-        // One batch on the submitting thread; scratch_batch_ amortizes the
-        // SoA allocations across the search's (many small) groups.
-        if (!scratch_batch_.has_value()) {
-          scratch_batch_.emplace(model_);
-        }
-        scratch_batch_->Clear();
-        for (BatchCandidate* bc : lanes) {
-          scratch_batch_->AddLane(&bc->scored.config);
-        }
-        scratch_batch_->EvaluateAll();
-        for (size_t i = 0; i < lanes.size(); ++i) {
-          lanes[i]->scored.perf = scratch_batch_->TakePerf(static_cast<int>(i));
-          lanes[i]->scored.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
-        }
-        batch_stats_ += scratch_batch_->stats();
-      }
-      return;
-    }
-    if (!pooled) {
-      return;  // lazy: the reduction evaluates serially, on demand
-    }
-    TaskGroup tasks(*pool);
-    for (BatchCandidate& bc : batch) {
-      if (bc.duplicate) {
-        continue;
-      }
-      bc.evaluated = true;
-      tasks.Submit([this, &bc] {
-        bc.scored.perf = model_.Evaluate(bc.scored.config);
-        bc.scored.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
-      });
-    }
-    tasks.Wait();
-    ++eval_batches_;
-    eval_batch_candidates_ += survivors;
-  }
-
-  // Un-inserts the visited_ hashes of batch[first..] — the candidates the
-  // serial loop would never have generated (it stopped at an improvement or
-  // an exhausted budget). Only hashes this batch itself published are
-  // erased, so earlier candidates' dedup state survives intact.
-  void RollbackVisited(const std::vector<BatchCandidate>& batch,
-                       size_t first) {
-    for (size_t i = first; i < batch.size(); ++i) {
-      if (batch[i].inserted) {
-        visited_.erase(batch[i].scored.semantic_hash);
-      }
-    }
-  }
-
   template <typename T>
   void ShuffleInPlace(std::vector<T>& values) {
     for (size_t i = values.size(); i > 1; --i) {
@@ -668,12 +453,8 @@ class SingleSearch {
     }
   }
 
-  // Offers one reduced candidate to the frontier archive
-  // (options.track_frontier; DESIGN.md §15). Called only from serial
-  // sections — Run()'s spine and the MultiHop reduction — never from the
-  // speculative evaluation phase, so the archive is bit-identical at every
-  // eval_threads setting: candidates a serial run would not have reduced
-  // (past an improvement cut or budget stop) are never offered.
+  // Offers one evaluated candidate to the frontier archive
+  // (options.track_frontier; DESIGN.md §15), in evaluation order.
   void OfferFrontier(const ScoredConfig& scored) {
     if (!options_.track_frontier) {
       return;
@@ -721,16 +502,6 @@ class SingleSearch {
   IterationTelemetry iter_;
   Rng rng_;
 
-  // Evaluation-batching diagnostics (DESIGN.md §11), flushed to telemetry
-  // counters once per search by EmitSearchEnd.
-  int64_t eval_batches_ = 0;
-  int64_t eval_batch_candidates_ = 0;
-  int64_t eval_serial_candidates_ = 0;
-
-  // SoA group-evaluation diagnostics (DESIGN.md §13) and the reusable
-  // single-thread batch; pooled sub-batches are task-local instead.
-  BatchEvalStats batch_stats_;
-  std::optional<CandidateBatch> scratch_batch_;
   int64_t dp_seed_evaluations_ = 0;
 
   SearchStats stats_;
@@ -907,9 +678,9 @@ struct ModelCounterSnapshot {
 
 // Publishes the cache-layer deltas of one search into the sink's counter
 // registry. Counters only — never events: the values are thread-timing
-// dependent (which worker hits which cache first), and the event stream must
-// stay bit-identical across eval_threads (DESIGN.md §11). Tools that want
-// the hit rates in the JSONL emit a counter-snapshot event after the search.
+// dependent (which stage-count worker hits which cache first), and the event
+// stream carries only trajectory facts (DESIGN.md §10). Tools that want the
+// hit rates in the JSONL emit a counter-snapshot event after the search.
 void RecordModelCounters(const PerformanceModel& model,
                          const ModelCounterSnapshot& before,
                          TelemetrySink* telemetry) {
@@ -985,16 +756,8 @@ SearchResult AcesoSearchForStages(const PerformanceModel& model,
   Stopwatch watch;
   const StageCacheStats cache_before = model.stage_cache().stats();
   const ModelCounterSnapshot counters_before = ModelCounterSnapshot::Take(model);
-  // Intra-search evaluation parallelism with no caller-provided pool: spin
-  // up a local one for the duration of this search.
-  std::optional<ThreadPool> local_pool;
-  SearchOptions child = options;
-  if (child.eval_threads > 1 && child.eval_pool == nullptr) {
-    local_pool.emplace(static_cast<size_t>(child.eval_threads));
-    child.eval_pool = &*local_pool;
-  }
-  SearchResult result = RunStageCount(model, child, num_stages,
-                                      child.time_budget_seconds, watch,
+  SearchResult result = RunStageCount(model, options, num_stages,
+                                      options.time_budget_seconds, watch,
                                       /*worker=*/0);
   RecordCacheDelta(model, cache_before, &result.stats);
   RecordModelCounters(model, counters_before, options.telemetry);
@@ -1041,44 +804,28 @@ SearchResult AcesoSearch(const PerformanceModel& model,
   const double per_search_budget =
       options.time_budget_seconds / static_cast<double>(waves);
 
-  // One shared pool for both levels of parallelism. It is sized for the
-  // wider of the two so eval_threads is honoured even when few stage counts
-  // run; the per-wave TaskGroup below keeps at most `threads` stage-count
-  // searches in flight regardless of pool width, preserving the waves
-  // budget math, while the extra workers (and any wave worker that finishes
-  // its search early) steal evaluation batches from the searches still
-  // running.
-  size_t pool_threads = threads;
-  SearchOptions child = options;
-  if (child.eval_threads > 1 && child.eval_pool == nullptr) {
-    pool_threads = std::max(threads, static_cast<size_t>(child.eval_threads));
-  }
-  ThreadPool pool(pool_threads);
-  if (child.eval_threads > 1 && child.eval_pool == nullptr) {
-    child.eval_pool = &pool;
-  }
+  // Stage counts are the search's only parallelism (DESIGN.md §11): one
+  // serial search per stage count, at most `threads` in flight. The caller
+  // waits for each wave, so no task ever waits on its own pool.
+  ThreadPool pool(threads);
   for (size_t wave_begin = 0; wave_begin < stage_counts.size();
        wave_begin += threads) {
-    TaskGroup wave(pool);
     const size_t wave_end =
         std::min(stage_counts.size(), wave_begin + threads);
     for (size_t i = wave_begin; i < wave_end; ++i) {
-      wave.Submit([&model, &child, &stage_counts, &results, &watch,
+      pool.Submit([&model, &options, &stage_counts, &results, &watch,
                    per_search_budget, i] {
-        results[i] = RunStageCount(model, child, stage_counts[i],
+        results[i] = RunStageCount(model, options, stage_counts[i],
                                    per_search_budget, watch,
                                    static_cast<int>(i));
       });
     }
-    wave.Wait();
+    pool.Wait();
   }
   if (options.telemetry != nullptr) {
-    // Pool activity is a counter-only diagnostic: the event stream must stay
-    // bit-identical across eval_threads (DESIGN.md §11).
-    const ThreadPoolStats ps = pool.stats();
-    options.telemetry->IncrCounter("search.pool_tasks", ps.executed);
-    options.telemetry->IncrCounter("search.pool_steals", ps.stolen);
-    options.telemetry->IncrCounter("search.pool_helped", ps.helped);
+    // A counter, not an event: the event stream stays free of execution
+    // shape.
+    options.telemetry->IncrCounter("search.pool_tasks", pool.executed());
   }
 
   SearchResult merged = MergeResults(std::move(results), options.top_k);

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/config/parallel_config.h"
 #include "src/core/frontier.h"
 #include "src/cost/perf_model.h"
@@ -90,51 +89,23 @@ struct SearchOptions {
   int min_stages = 1;
   int max_stages = 0;
 
-  // Worker threads for the parallel stage-count search; 0 = one per stage
-  // count (capped at hardware concurrency).
+  // Worker threads for the parallel stage-count search — the search's only
+  // parallelism (DESIGN.md §11); 0 = one per stage count (capped at hardware
+  // concurrency). Each stage count's search is serial, so this changes only
+  // which thread runs which stage count, never a result bit.
   int num_threads = 0;
-
-  // ---- Intra-search parallel candidate evaluation (DESIGN.md §11) ----
-  // Evaluation threads for one hop's candidate group: the group is built
-  // and deduplicated serially, its surviving candidates are evaluated
-  // concurrently on a work-stealing pool, and the results are reduced
-  // serially in generation order — so the search trajectory (visit order,
-  // stats, telemetry event stream, final result) is bit-identical for every
-  // value of eval_threads. 1 (default) keeps the fully serial path.
-  int eval_threads = 1;
-
-  // Candidate groups with fewer surviving (post-dedup) candidates than this
-  // are evaluated serially even when eval_threads > 1: the fan-out/join
-  // overhead outweighs the win on tiny groups.
-  int parallel_eval_threshold = 4;
-
-  // Batched SoA evaluation of candidate groups (src/cost/batch_eval.h):
-  // groups of >= 2 surviving candidates are scored lane-parallel so stages
-  // the siblings share are resolved once and broadcast. Bit-identical to
-  // per-candidate Evaluate() at every eval_threads setting; disable only to
-  // A/B the scalar path (bench/tests).
-  bool batch_eval = true;
-
-  // The pool evaluation batches run on (not owned; must be safe for nested
-  // submission, i.e. aceso::ThreadPool). Null with eval_threads > 1 makes
-  // AcesoSearch / AcesoSearchForStages create one: AcesoSearch sizes a
-  // single shared pool max(num_threads, eval_threads) so idle stage-count
-  // workers drain their siblings' evaluation batches — the §4.3 fan-out
-  // otherwise leaves them parked whenever stage counts < cores or during
-  // the ragged last wave.
-  ThreadPool* eval_pool = nullptr;
 
   // How many bottleneck stages to try per iteration before giving up
   // (§3.2.3 secondary-bottleneck exploration).
   int max_bottlenecks_per_iteration = 4;
 
   // ---- Throughput–memory Pareto frontier (DESIGN.md §15) ----
-  // Maintain a FrontierArchive over every candidate the search reduces
+  // Maintain a FrontierArchive over every candidate the search evaluates
   // (feasible and infeasible): one pass then answers "best config under any
-  // memory budget" via SearchResult::frontier. Offers happen only in the
-  // serial reduction, so the archive — like the rest of the trajectory — is
-  // bit-identical at every eval_threads. Off by default: tracking is cheap
-  // (a dominance probe per evaluated candidate) but not free.
+  // memory budget" via SearchResult::frontier. Candidates are offered in
+  // evaluation order, so the archive is as deterministic as the rest of the
+  // trajectory. Off by default: tracking is cheap (a dominance probe per
+  // evaluated candidate) but not free.
   bool track_frontier = false;
 
   // Per-device memory budget the search judges feasibility against, in
@@ -246,16 +217,14 @@ struct SearchResult {
 // Semantic hash of the *answer-determining* SearchOptions fields: budgets
 // (wall-clock and evaluation), hop limit, heuristic/fine-tune/dedup/ZeRO
 // toggles, top_k, seed, stage range, bottleneck limit, initial-config kind,
-// seed mode, frontier tracking, and the memory budget (track_frontier adds
-// the frontier payload to the answer; memory_budget_bytes changes every
-// feasibility verdict). Execution-shape fields are deliberately excluded —
-// eval_threads / parallel_eval_threshold / batch_eval / eval_pool are
-// bit-identity-guaranteed no-ops on the trajectory (DESIGN.md §11/§13),
-// num_threads only changes which thread runs which stage count, and
-// telemetry is pure observation. This is the SearchOptions component of the
-// serving plan-cache key (DESIGN.md §14): two requests that can only
-// produce the same plan must hash equal, and any field that can change the
-// plan must be included here when added.
+// seed mode, frontier tracking, and the memory budget (track_frontier adds the
+// frontier payload to the answer; memory_budget_bytes changes every feasibility
+// verdict). Execution-shape fields are deliberately excluded — num_threads only
+// changes which thread runs which stage count (DESIGN.md §11), and telemetry is
+// pure observation. This is the SearchOptions component of the serving
+// plan-cache key (DESIGN.md §14): two requests that can only produce the same
+// plan must hash equal, and any field that can change the plan must be included
+// here when added.
 uint64_t SearchOptionsSemanticHash(const SearchOptions& options);
 
 // Runs the full search: initial configurations for every stage count in

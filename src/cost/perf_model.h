@@ -195,11 +195,6 @@ class PerformanceModel {
   }
 
  private:
-  // The batched group evaluator (batch_eval.h) charges eval_count_ one
-  // evaluation per lane, so scalar and batched runs report identical
-  // exploration counts.
-  friend class CandidateBatch;
-
   const OpGraph* graph_;
   ClusterSpec cluster_;
   InterconnectModel interconnect_;

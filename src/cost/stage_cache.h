@@ -9,11 +9,11 @@
 // device-placement context), so a hit substitutes O(1) arithmetic for the
 // O(#ops) walk without changing a single bit of the PerfResult.
 //
-// Concurrency: AcesoSearch runs one SingleSearch per stage count on a shared
-// ThreadPool against one PerformanceModel, and the cache is deliberately
-// shared across those workers — sibling searches re-walk many of the same
-// stages. The key space is partitioned into power-of-two shards, each with
-// its own mutex, so concurrent lookups of different stages rarely contend.
+// Concurrency: AcesoSearch runs one serial SingleSearch per stage count on its
+// ThreadPool against one PerformanceModel (DESIGN.md §11), and the cache is
+// deliberately shared across those workers — sibling searches re-walk many of
+// the same stages. The key space is partitioned into power-of-two shards, each
+// with its own mutex, so concurrent lookups of different stages rarely contend.
 // Values are immutable once inserted (shared_ptr<const StageCost>), making a
 // hit a lock-then-copy-pointer operation.
 //

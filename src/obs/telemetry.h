@@ -124,7 +124,7 @@ class TelemetrySink {
   // value as an Int field keyed by its name (alphabetical). For *tools* at
   // end of run — cache hit rates etc. are thread-timing dependent, so
   // library code must never emit counter values into the event stream
-  // (the stream is pinned bit-identical across eval_threads, DESIGN.md §11).
+  // (the stream is pinned bit-identical run to run, DESIGN.md §10).
   void EmitCounterSnapshot();
 
   // Named duration accumulators (e.g. "search.worker_seconds").

@@ -13,15 +13,15 @@
 // use, and the database can be saved to / loaded from disk so later searches
 // skip "profiling" entirely — mirroring the paper's reusable database.
 //
-// Concurrency: the database sits under every concurrent Evaluate() call —
-// the stage-count workers and, since DESIGN.md §11, the intra-search
-// evaluation batches. The memo maps are therefore striped into power-of-two
-// lock shards selected by key hash, and a miss runs the simulated
+// Concurrency: the database sits under every concurrent Evaluate() call — the
+// stage-count workers of one search (DESIGN.md §11) and the concurrent searches
+// of the planning service. The memo maps are therefore striped into
+// power-of-two lock shards selected by key hash, and a miss runs the simulated
 // measurement *outside* any lock with a double-checked, first-writer-wins
 // insert: concurrent fillers may measure the same key twice, but exactly one
-// value is published, so memoized results stay deterministic. (The
-// measurement itself is deterministic per key, making the race doubly
-// harmless; first-writer-wins keeps the guarantee independent of that.)
+// value is published, so memoized results stay deterministic. (The measurement
+// itself is deterministic per key, making the race doubly harmless;
+// first-writer-wins keeps the guarantee independent of that.)
 //
 // Read path (DESIGN.md §12): after warm-up the writers periodically publish
 // an immutable open-addressing *snapshot* of the memo maps behind a single

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <unordered_set>
 
 #include "src/common/hash.h"
 #include "src/config/config_io.h"
@@ -148,8 +149,6 @@ StatusOr<PlanRequest> ParsePlanRequest(const JsonValue& doc) {
       st = TakeString(key, value, &req.client);
     } else if (key == "stream") {
       st = TakeBool(key, value, &req.stream);
-    } else if (key == "eval_threads") {
-      st = TakeIntField(key, value, 0, &req.eval_threads);
     } else {
       st = InvalidArgument("unknown request field \"" + key + "\"");
     }
@@ -177,8 +176,7 @@ StatusOr<PlanRequest> ParsePlanRequestJson(std::string_view body) {
   return ParsePlanRequest(*doc);
 }
 
-SearchOptions ToSearchOptions(const PlanRequest& request,
-                              int default_eval_threads) {
+SearchOptions ToSearchOptions(const PlanRequest& request) {
   SearchOptions options;
   options.time_budget_seconds = request.budget_seconds;
   options.max_evaluations = request.max_evaluations;
@@ -199,11 +197,6 @@ SearchOptions ToSearchOptions(const PlanRequest& request,
   options.track_frontier = request.frontier || !request.memory_budgets.empty();
   options.memory_budget_bytes =
       request.memory_budgets.empty() ? request.memory_budget_bytes : 0;
-  options.eval_threads =
-      request.eval_threads > 0 ? request.eval_threads : default_eval_threads;
-  if (options.eval_threads < 1) {
-    options.eval_threads = 1;
-  }
   return options;
 }
 
@@ -224,17 +217,9 @@ uint64_t ModelFamilyFingerprint(const OpGraph& graph) {
   // deliberately excluded — they are exactly what seed adaptation reshapes.
   Hasher h;
   h.Add(static_cast<int>(graph.precision()));
-  std::vector<uint64_t> seen;
+  std::unordered_set<uint64_t, IdentityHash> seen;
   for (const uint64_t sig : graph.op_signatures()) {
-    bool is_new = true;
-    for (const uint64_t s : seen) {
-      if (s == sig) {
-        is_new = false;
-        break;
-      }
-    }
-    if (is_new) {
-      seen.push_back(sig);
+    if (seen.insert(sig).second) {
       h.Add(sig);
     }
   }

@@ -10,9 +10,9 @@
 //     which determine the answer and therefore feed the plan-cache key
 //     (PlanCacheKey below composes the model / cluster / options
 //     fingerprints from src/ir, src/hw, and src/core);
-//   * non-semantic fields — request_id, client, stream, eval_threads —
-//     which shape execution or bookkeeping but are bit-identity no-ops on
-//     the plan, and are excluded from the key.
+//   * non-semantic fields — request_id, client, stream — which shape
+//     bookkeeping or delivery but never the plan, and are excluded from the
+//     key.
 //
 // The response payload (BuildPlanPayload) is a self-contained JSON object —
 // plan, predicted performance, search stats, capped convergence trend — and
@@ -70,7 +70,6 @@ struct PlanRequest {
   std::string request_id;  // echoed in the response; empty = daemon assigns
   std::string client;      // free-form client tag for logs
   bool stream = false;     // stream telemetry/convergence events (NDJSON)
-  int eval_threads = 0;    // 0 = service default; bit-identity no-op
 };
 
 // Strict parse of a request document: every member must be a known field of
@@ -83,10 +82,17 @@ StatusOr<PlanRequest> ParsePlanRequestJson(std::string_view body);
 
 // The SearchOptions a request denotes. A fixed `stages` collapses the stage
 // range to [stages, stages] so the request always runs through AcesoSearch
-// (one code path, one cache-key shape). `default_eval_threads` supplies the
-// service-level evaluation parallelism when the request leaves it 0.
-SearchOptions ToSearchOptions(const PlanRequest& request,
-                              int default_eval_threads);
+// (one code path, one cache-key shape).
+SearchOptions ToSearchOptions(const PlanRequest& request);
+
+// The former two-argument form, whose second argument (a default
+// intra-search evaluation thread count) no longer exists; it is ignored.
+// Kept only so perfbench/ keeps compiling; drop it when the benchmark next
+// changes.
+inline SearchOptions ToSearchOptions(const PlanRequest& request,
+                                     int /*ignored*/) {
+  return ToSearchOptions(request);
+}
 
 // The cross-request cache key: model structure (OpGraph::SemanticFingerprint,
 // name excluded), cluster (ClusterSpec::Fingerprint), and the

@@ -257,8 +257,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
     return error_response(gpus_ok);
   }
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(request.gpus);
-  const SearchOptions options =
-      ToSearchOptions(request, options_.eval_threads);
+  const SearchOptions options = ToSearchOptions(request);
   const uint64_t key = PlanCacheKey(graph, cluster, options);
 
   // A budget sweep keys as the base frontier request (ToSearchOptions), so

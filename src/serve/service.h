@@ -15,8 +15,8 @@
 //   3. Admission + search — at most `max_inflight_searches` searches run at
 //      once (beyond that the request is rejected with ResourceExhausted, a
 //      429 on the wire, rather than queued behind unbounded work); admitted
-//      searches run as jobs on the service's shared work-stealing pool,
-//      which also serves their intra-search evaluation batches.
+//      searches run as jobs on the service's shared pool; each search fans
+//      its stage counts out on a pool of its own (DESIGN.md §11).
 //
 // Profile databases are materialized per cluster fingerprint and shared by
 // every request for that cluster. With `snapshot_dir` set, a database whose
@@ -49,10 +49,6 @@ struct ServeOptions {
   // Shared pool width; 0 = max(hardware concurrency, max_inflight_searches)
   // so every admitted search gets a worker immediately.
   int worker_threads = 0;
-
-  // Default intra-search evaluation parallelism for requests that leave
-  // eval_threads unset. Bit-identity no-op on results (DESIGN.md §11).
-  int eval_threads = 2;
 
   // Plan cache entries (0 disables the cache).
   size_t plan_cache_capacity = 64;
@@ -187,7 +183,6 @@ class PlanService {
   // Serializes stats() as a JSON object (the /stats endpoint body).
   std::string StatsJson() const;
 
-  ThreadPool& pool() { return pool_; }
   const ServeOptions& options() const { return options_; }
 
  private:

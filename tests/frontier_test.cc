@@ -297,21 +297,21 @@ TEST_F(FrontierSearchTest, ArchivesAValidFrontierFromTheWalk) {
   EXPECT_LE(best->iteration_time, result.best.perf.iteration_time);
 }
 
-TEST_F(FrontierSearchTest, FrontierIsBitIdenticalAcrossEvalThreads) {
-  // The DESIGN.md §11 determinism contract extends to the archive: offers
-  // happen only on the search's serial spine, so eval_threads changes how
-  // fast the frontier is built, never its contents.
-  auto run = [&](int eval_threads) {
+TEST_F(FrontierSearchTest, FrontierIsBitIdenticalAcrossThreadCounts) {
+  // Each stage count's archive is built by one serial search and the
+  // archives merge in stage-count order, so num_threads changes how fast
+  // the frontier is built, never its contents.
+  auto run = [&](int num_threads) {
     SearchOptions options = FrontierOptions();
-    options.eval_threads = eval_threads;
+    options.num_threads = num_threads;
     return AcesoSearch(model_, options);
   };
   const SearchResult golden = run(1);
   ASSERT_FALSE(golden.frontier.empty());
-  for (const int threads : {2, 8}) {
+  for (const int threads : {2, 4}) {
     const SearchResult result = run(threads);
     ASSERT_EQ(result.frontier.size(), golden.frontier.size())
-        << "eval_threads=" << threads;
+        << "num_threads=" << threads;
     for (size_t i = 0; i < golden.frontier.size(); ++i) {
       const FrontierPoint& g = golden.frontier.points()[i];
       const FrontierPoint& p = result.frontier.points()[i];

@@ -243,8 +243,7 @@ class PlanCacheKeyTest : public ::testing::Test {
     auto graph = models::BuildByName(request.model);
     EXPECT_TRUE(graph.ok()) << graph.status().ToString();
     const ClusterSpec cluster = ClusterSpec::WithGpuCount(request.gpus);
-    return PlanCacheKey(*graph, cluster,
-                        ToSearchOptions(request, /*default_eval_threads=*/2));
+    return PlanCacheKey(*graph, cluster, ToSearchOptions(request));
   }
 
   static PlanRequest BaseRequest() {
@@ -310,7 +309,7 @@ TEST_F(PlanCacheKeyTest, CachedIdentityKeysEqualTheRecomputedFormulas) {
   names.push_back("deepnet-16");
   names.push_back("deepnet-256");
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(16);
-  const SearchOptions options = ToSearchOptions(BaseRequest(), 2);
+  const SearchOptions options = ToSearchOptions(BaseRequest());
   for (const std::string& name : names) {
     auto graph = models::BuildByName(name);
     ASSERT_TRUE(graph.ok()) << name;
@@ -345,7 +344,7 @@ TEST_F(PlanCacheKeyTest, KeyValuesArePinned) {
       {"deepnet-256", 16, 0x3181a1f2ba3db2b6ULL, 0x22edb55c8c507ed3ULL,
        0x6858621eed5c91a9ULL},
   };
-  const SearchOptions options = ToSearchOptions(BaseRequest(), 2);
+  const SearchOptions options = ToSearchOptions(BaseRequest());
   for (const Pin& pin : pins) {
     auto graph = models::BuildByName(pin.model);
     ASSERT_TRUE(graph.ok()) << pin.model;
@@ -365,9 +364,8 @@ TEST_F(PlanCacheKeyTest, NonSemanticFieldsDoNotChangeTheKey) {
   request.request_id = "r-123";
   request.client = "curl";
   request.stream = true;
-  request.eval_threads = 7;
   EXPECT_EQ(KeyOf(request), base)
-      << "execution-shaping fields must not fragment the cache";
+      << "bookkeeping fields must not fragment the cache";
 }
 
 TEST_F(PlanCacheKeyTest, SemanticFieldsChangeTheKey) {
@@ -468,7 +466,7 @@ TEST_F(PlanCacheKeyTest, GpuPriceChangesTheKey) {
   auto graph = models::BuildByName("gpt3-0.35b");
   ASSERT_TRUE(graph.ok());
   const SearchOptions options =
-      ToSearchOptions(BaseRequest(), /*default_eval_threads=*/2);
+      ToSearchOptions(BaseRequest());
   ClusterSpec cluster = ClusterSpec::WithGpuCount(4);
   const uint64_t base = PlanCacheKey(*graph, cluster, options);
   cluster.gpu.price_per_hour_usd *= 2.0;
@@ -490,9 +488,6 @@ TEST_F(PlanCacheKeyTest, FuzzNonSemanticPerturbationsAlwaysHit) {
       request.client = "client" + std::to_string(rng.NextBelow(100));
     }
     if (rng.NextBelow(2) == 1) request.stream = true;
-    if (rng.NextBelow(2) == 1) {
-      request.eval_threads = 1 + static_cast<int>(rng.NextBelow(16));
-    }
     ASSERT_EQ(KeyOf(request), base) << "trial " << trial;
 
     switch (rng.NextBelow(4)) {

@@ -267,13 +267,13 @@ TEST_F(SearchTest, FixedEvaluationBudgetIsBitReproducible) {
   EXPECT_EQ(b.stats.configs_explored, a.stats.configs_explored);
 }
 
-TEST_F(SearchTest, ConfigSeededSearchIsBitReproducibleAcrossEvalThreads) {
+TEST_F(SearchTest, ConfigSeededSearchIsBitReproducible) {
   // SeedMode::kConfig (DESIGN.md §17): the search starts from a caller-
   // provided configuration — in production an adapted cache neighbor — and
   // must stay on the same deterministic rails as the heuristic init: under a
-  // fixed evaluation budget, every eval_threads value lands on the same
-  // golden best. The seed here is the best of a short pre-search, the same
-  // kind of artifact the serving layer feeds through seed_config.
+  // fixed evaluation budget, every run lands on the same golden best. The
+  // seed here is the best of a short pre-search, the same kind of artifact
+  // the serving layer feeds through seed_config.
   SearchOptions pre = FastOptions();
   pre.time_budget_seconds = 1e6;
   pre.max_evaluations = 300;
@@ -281,42 +281,34 @@ TEST_F(SearchTest, ConfigSeededSearchIsBitReproducibleAcrossEvalThreads) {
   ASSERT_TRUE(base.found);
   const auto seed = std::make_shared<const ParallelConfig>(base.best.config);
 
-  auto run = [&](int eval_threads) {
+  auto run = [&] {
     SearchOptions options = FastOptions();
     options.time_budget_seconds = 1e6;
     options.max_evaluations = 1500;
     options.seed_mode = SeedMode::kConfig;
     options.seed_config = seed;
-    options.eval_threads = eval_threads;
     return AcesoSearchForStages(model_, options, 2);
   };
-  const SearchResult serial = run(1);
-  ASSERT_TRUE(serial.found);
+  const SearchResult first = run();
+  ASSERT_TRUE(first.found);
   // Same golden best the unseeded 3000-eval run pins — reached here in half
   // the budget and 8 iterations instead of 40, which is the whole point of
   // seeding.
-  EXPECT_EQ(serial.best.semantic_hash, 1672875804967310438ULL);
-  EXPECT_DOUBLE_EQ(serial.best.perf.iteration_time, 22.649582163995891);
-  EXPECT_EQ(serial.stats.configs_explored, 1500);
-  EXPECT_EQ(serial.stats.iterations, 8);
+  EXPECT_EQ(first.best.semantic_hash, 1672875804967310438ULL);
+  EXPECT_DOUBLE_EQ(first.best.perf.iteration_time, 22.649582163995891);
+  EXPECT_EQ(first.stats.configs_explored, 1500);
+  EXPECT_EQ(first.stats.iterations, 8);
   // A seeded search never finishes worse than the seed it started from.
-  EXPECT_LE(serial.best.perf.iteration_time, base.best.perf.iteration_time);
+  EXPECT_LE(first.best.perf.iteration_time, base.best.perf.iteration_time);
 
-  for (const int eval_threads : {2, 8}) {
-    const SearchResult result = run(eval_threads);
-    ASSERT_TRUE(result.found) << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.best.semantic_hash, serial.best.semantic_hash)
-        << "eval_threads=" << eval_threads;
-    EXPECT_DOUBLE_EQ(result.best.perf.iteration_time,
-                     serial.best.perf.iteration_time)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.configs_explored, serial.stats.configs_explored)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.iterations, serial.stats.iterations)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.hops_used, serial.stats.hops_used)
-        << "eval_threads=" << eval_threads;
-  }
+  const SearchResult second = run();
+  ASSERT_TRUE(second.found);
+  EXPECT_EQ(second.best.semantic_hash, first.best.semantic_hash);
+  EXPECT_DOUBLE_EQ(second.best.perf.iteration_time,
+                   first.best.perf.iteration_time);
+  EXPECT_EQ(second.stats.configs_explored, first.stats.configs_explored);
+  EXPECT_EQ(second.stats.iterations, first.stats.iterations);
+  EXPECT_EQ(second.stats.hops_used, first.stats.hops_used);
 }
 
 TEST_F(SearchTest, MismatchedSeedConfigFallsBackToHeuristicInit) {
@@ -490,20 +482,15 @@ TEST_F(SearchTest, TelemetryStreamIsDeterministicUnderEvaluationBudget) {
   EXPECT_EQ(first, second);
 }
 
-TEST_F(SearchTest, ParallelEvaluationIsBitIdenticalToSerial) {
-  // The DESIGN.md §11 contract: eval_threads changes only *how fast*
-  // candidates are scored, never the trajectory. Under a fixed evaluation
-  // budget, every value of eval_threads must land on the golden best
-  // configuration, the golden stats, and a byte-identical telemetry event
-  // stream (wall-clock fields aside — they are the one legitimately
-  // parallelism-dependent output).
-  auto run = [&](int eval_threads, int threshold) {
+TEST_F(SearchTest, TrajectoryAndEventStreamAreBitReproducible) {
+  // Under a fixed evaluation budget two runs land on the golden best
+  // configuration and golden stats, with byte-identical telemetry event
+  // streams (wall-clock fields aside) and identical convergence curves.
+  auto run = [&] {
     TelemetrySink sink;
     SearchOptions options = FastOptions();
     options.time_budget_seconds = 1e6;
     options.max_evaluations = 3000;
-    options.eval_threads = eval_threads;
-    options.parallel_eval_threshold = threshold;
     options.telemetry = &sink;
     const SearchResult result = AcesoSearchForStages(model_, options, 2);
     std::vector<std::string> lines;
@@ -512,105 +499,68 @@ TEST_F(SearchTest, ParallelEvaluationIsBitIdenticalToSerial) {
     }
     return std::make_pair(result, lines);
   };
-  const auto [serial, serial_events] = run(1, 4);
-  ASSERT_TRUE(serial.found);
-  EXPECT_EQ(serial.best.semantic_hash, 1672875804967310438ULL);
-  EXPECT_DOUBLE_EQ(serial.best.perf.iteration_time, 22.649582163995891);
-  EXPECT_EQ(serial.stats.configs_explored, 3000);
-  EXPECT_EQ(serial.stats.iterations, 40);
-  ASSERT_FALSE(serial_events.empty());
+  const auto [first, first_events] = run();
+  ASSERT_TRUE(first.found);
+  EXPECT_EQ(first.best.semantic_hash, 1672875804967310438ULL);
+  EXPECT_DOUBLE_EQ(first.best.perf.iteration_time, 22.649582163995891);
+  EXPECT_EQ(first.stats.configs_explored, 3000);
+  EXPECT_EQ(first.stats.iterations, 40);
+  ASSERT_FALSE(first_events.empty());
 
-  // threshold 1 at 2 threads forces the parallel path onto every group,
-  // maximizing speculative evaluation + rollback coverage; 8 threads at the
-  // default threshold exercises the production shape.
-  for (const auto& [eval_threads, threshold] :
-       std::vector<std::pair<int, int>>{{2, 1}, {8, 4}}) {
-    const auto [result, events] = run(eval_threads, threshold);
-    ASSERT_TRUE(result.found) << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.best.semantic_hash, serial.best.semantic_hash)
-        << "eval_threads=" << eval_threads;
-    EXPECT_DOUBLE_EQ(result.best.perf.iteration_time,
-                     serial.best.perf.iteration_time)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.configs_explored, serial.stats.configs_explored)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.iterations, serial.stats.iterations)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.improvements, serial.stats.improvements)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(result.stats.hops_used, serial.stats.hops_used)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(events, serial_events) << "eval_threads=" << eval_threads;
-    // Convergence compares on (best_iteration_time, feasible) only:
-    // elapsed_seconds is wall-clock.
-    ASSERT_EQ(result.convergence.size(), serial.convergence.size())
-        << "eval_threads=" << eval_threads;
-    for (size_t i = 0; i < result.convergence.size(); ++i) {
-      EXPECT_DOUBLE_EQ(result.convergence[i].best_iteration_time,
-                       serial.convergence[i].best_iteration_time);
-      EXPECT_EQ(result.convergence[i].feasible, serial.convergence[i].feasible);
-    }
+  const auto [second, second_events] = run();
+  ASSERT_TRUE(second.found);
+  EXPECT_EQ(second.best.semantic_hash, first.best.semantic_hash);
+  EXPECT_DOUBLE_EQ(second.best.perf.iteration_time,
+                   first.best.perf.iteration_time);
+  EXPECT_EQ(second.stats.configs_explored, first.stats.configs_explored);
+  EXPECT_EQ(second.stats.iterations, first.stats.iterations);
+  EXPECT_EQ(second.stats.improvements, first.stats.improvements);
+  EXPECT_EQ(second.stats.hops_used, first.stats.hops_used);
+  EXPECT_EQ(second_events, first_events);
+  // Convergence compares on (best_iteration_time, evaluations, feasible)
+  // only: elapsed_seconds is wall-clock.
+  ASSERT_EQ(second.convergence.size(), first.convergence.size());
+  for (size_t i = 0; i < second.convergence.size(); ++i) {
+    EXPECT_DOUBLE_EQ(second.convergence[i].best_iteration_time,
+                     first.convergence[i].best_iteration_time);
+    EXPECT_EQ(second.convergence[i].evaluations,
+              first.convergence[i].evaluations);
+    EXPECT_EQ(second.convergence[i].feasible, first.convergence[i].feasible);
   }
 }
 
-TEST_F(SearchTest, BatchedEvaluationIsBitIdenticalToScalarPath) {
-  // The DESIGN.md §13 contract: batch_eval changes only how candidate
-  // groups are scored (SoA lanes with shared-stage broadcast), never the
-  // trajectory. Both settings must reproduce the golden trajectory — and
-  // each other's full event stream — at every eval_threads value.
-  auto run = [&](bool batch_eval, int eval_threads) {
-    TelemetrySink sink;
-    SearchOptions options = FastOptions();
-    options.time_budget_seconds = 1e6;
-    options.max_evaluations = 3000;
-    options.batch_eval = batch_eval;
-    options.eval_threads = eval_threads;
-    options.telemetry = &sink;
-    const SearchResult result = AcesoSearchForStages(model_, options, 2);
-    std::vector<std::string> lines;
-    for (const TelemetryEvent& event : sink.Events()) {
-      lines.push_back(event.ToJsonLineExcluding({"t", "dur"}));
-    }
-    return std::make_pair(result, lines);
-  };
-
-  for (const int eval_threads : {1, 2, 8}) {
-    const auto [scalar, scalar_events] = run(false, eval_threads);
-    const auto [batched, batched_events] = run(true, eval_threads);
-    ASSERT_TRUE(scalar.found) << "eval_threads=" << eval_threads;
-    ASSERT_TRUE(batched.found) << "eval_threads=" << eval_threads;
-    // Both paths land on the golden trajectory...
-    EXPECT_EQ(scalar.best.semantic_hash, 1672875804967310438ULL)
-        << "eval_threads=" << eval_threads;
-    EXPECT_EQ(batched.best.semantic_hash, 1672875804967310438ULL)
-        << "eval_threads=" << eval_threads;
-    EXPECT_DOUBLE_EQ(scalar.best.perf.iteration_time, 22.649582163995891);
-    EXPECT_DOUBLE_EQ(batched.best.perf.iteration_time, 22.649582163995891);
-    EXPECT_EQ(scalar.stats.configs_explored, 3000);
-    EXPECT_EQ(batched.stats.configs_explored, 3000);
-    EXPECT_EQ(scalar.stats.iterations, 40);
-    EXPECT_EQ(batched.stats.iterations, 40);
-    // ...and on each other, event for event and point for point.
-    EXPECT_EQ(batched.stats.improvements, scalar.stats.improvements);
-    EXPECT_EQ(batched.stats.hops_used, scalar.stats.hops_used);
-    EXPECT_EQ(batched_events, scalar_events)
-        << "eval_threads=" << eval_threads;
-    ASSERT_EQ(batched.convergence.size(), scalar.convergence.size());
-    for (size_t i = 0; i < batched.convergence.size(); ++i) {
-      EXPECT_DOUBLE_EQ(batched.convergence[i].best_iteration_time,
-                       scalar.convergence[i].best_iteration_time);
-      EXPECT_EQ(batched.convergence[i].evaluations,
-                scalar.convergence[i].evaluations);
-      EXPECT_EQ(batched.convergence[i].feasible,
-                scalar.convergence[i].feasible);
-    }
+TEST_F(SearchTest, EveryModelEvaluationIsCharged) {
+  // The search evaluates one candidate at a time and stops at the first
+  // improvement, so it never scores a candidate it does not charge: every
+  // model evaluation of a heuristic-seeded search is an initial config, a
+  // generated candidate, or a fine-tune trial, all counted in
+  // configs_explored. (The recompute fix-up reads single stage costs, which
+  // are not evaluations.) A fresh model makes NumEvaluations() the search's
+  // own count.
+  SearchOptions options = FastOptions();
+  options.time_budget_seconds = 1e6;
+  options.max_evaluations = 1500;
+  {
+    ProfileDatabase db(cluster_);
+    PerformanceModel fresh(&graph_, cluster_, &db);
+    const SearchResult result = AcesoSearchForStages(fresh, options, 2);
+    ASSERT_TRUE(result.found);
+    EXPECT_EQ(fresh.NumEvaluations(), result.stats.configs_explored);
+  }
+  {
+    ProfileDatabase db(cluster_);
+    PerformanceModel fresh(&graph_, cluster_, &db);
+    options.max_evaluations = 400;
+    const SearchResult result = AcesoSearch(fresh, options);
+    ASSERT_TRUE(result.found);
+    EXPECT_EQ(fresh.NumEvaluations(), result.stats.configs_explored);
   }
 }
 
 TEST_F(SearchTest, DpSeededSearchTrajectoryIsBitReproducible) {
   // DP seeding intentionally changes the trajectory — so it carries its own
   // golden: the seeded search must be deterministic under a pure evaluation
-  // budget and land on the same best config run-to-run, batched or not.
+  // budget and land on the same best config run-to-run.
   SearchOptions options = FastOptions();
   options.time_budget_seconds = 1e6;
   options.max_evaluations = 3000;
@@ -623,14 +573,6 @@ TEST_F(SearchTest, DpSeededSearchTrajectoryIsBitReproducible) {
   EXPECT_DOUBLE_EQ(a.best.perf.iteration_time, b.best.perf.iteration_time);
   EXPECT_EQ(a.stats.configs_explored, b.stats.configs_explored);
   EXPECT_EQ(a.stats.iterations, b.stats.iterations);
-
-  SearchOptions scalar = options;
-  scalar.batch_eval = false;
-  const SearchResult c = AcesoSearchForStages(model_, scalar, 2);
-  ASSERT_TRUE(c.found);
-  EXPECT_EQ(c.best.semantic_hash, a.best.semantic_hash);
-  EXPECT_DOUBLE_EQ(c.best.perf.iteration_time, a.best.perf.iteration_time);
-  EXPECT_EQ(c.stats.configs_explored, a.stats.configs_explored);
 
   // The DP seed can only start the search at or below the heuristic seed's
   // initial prediction (it prices several DP solutions and keeps the best).
@@ -645,17 +587,15 @@ TEST_F(SearchTest, DpSeededSearchTrajectoryIsBitReproducible) {
 }
 
 TEST_F(SearchTest, ParallelEvaluationMatchesSerialAcrossStageCounts) {
-  // The full AcesoSearch shape: stage-count workers and evaluation batches
-  // share one pool. Deterministic per-search budgets make the merged result
-  // comparable bit-for-bit (modulo wall-clock) between serial and parallel
-  // evaluation.
-  auto run = [&](int eval_threads) {
+  // The full AcesoSearch shape: stage counts are evaluated in parallel, one
+  // serial search each, and merged in stage-count order. Deterministic
+  // per-search budgets make the merged result comparable bit-for-bit
+  // (modulo wall-clock) between one worker and several.
+  auto run = [&](int num_threads) {
     SearchOptions options = FastOptions();
     options.time_budget_seconds = 1e6;
     options.max_evaluations = 400;
-    options.num_threads = 2;
-    options.eval_threads = eval_threads;
-    options.parallel_eval_threshold = 2;
+    options.num_threads = num_threads;
     return AcesoSearch(model_, options);
   };
   const SearchResult serial = run(1);

@@ -44,7 +44,7 @@ TEST(PlanProtocolTest, ParsesFullRequest) {
       R"({"model":"gpt3-1.3b","gpus":8,"budget_seconds":1.5,
           "max_evaluations":100,"max_hops":5,"stages":2,"seed":7,
           "seed_mode":"dp","top_k":3,"request_id":"r9","client":"test",
-          "stream":true,"eval_threads":4})");
+          "stream":true})");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
   EXPECT_EQ(request->model, "gpt3-1.3b");
   EXPECT_EQ(request->gpus, 8);
@@ -58,7 +58,6 @@ TEST(PlanProtocolTest, ParsesFullRequest) {
   EXPECT_EQ(request->request_id, "r9");
   EXPECT_EQ(request->client, "test");
   EXPECT_TRUE(request->stream);
-  EXPECT_EQ(request->eval_threads, 4);
 }
 
 TEST(PlanProtocolTest, RejectsUnknownField) {
@@ -66,6 +65,18 @@ TEST(PlanProtocolTest, RejectsUnknownField) {
       ParsePlanRequestJson(R"({"model":"gpt3-0.35b","max_evals":5})");
   ASSERT_FALSE(request.ok());
   EXPECT_NE(request.status().message().find("max_evals"), std::string::npos);
+}
+
+TEST(PlanProtocolTest, RejectsEvalThreadsAsUnknownField) {
+  // The per-request evaluation thread count is gone (DESIGN.md §11): a
+  // request may no longer choose how many threads its search starts, so
+  // the strict parser refuses the field like any other unknown name.
+  auto request = ParsePlanRequestJson(
+      R"({"model":"gpt3-0.35b","gpus":4,"eval_threads":4})");
+  ASSERT_FALSE(request.ok());
+  EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(request.status().message(),
+            "unknown request field \"eval_threads\"");
 }
 
 TEST(PlanProtocolTest, RejectsMissingModel) {
@@ -124,7 +135,7 @@ TEST(PlanProtocolTest, ParsesFrontierAndSweepFields) {
   EXPECT_EQ(request->memory_budgets[0], 1073741824);
   // A sweep runs the base frontier search: track_frontier is implied and
   // the search itself runs at device capacity.
-  const SearchOptions options = ToSearchOptions(*request, 2);
+  const SearchOptions options = ToSearchOptions(*request);
   EXPECT_TRUE(options.track_frontier);
   EXPECT_EQ(options.memory_budget_bytes, 0);
 }
@@ -141,7 +152,7 @@ TEST(PlanProtocolTest, RejectsSweepCombinedWithFixedBudget) {
 TEST(PlanProtocolTest, FixedStagesCollapsesTheRange) {
   PlanRequest request = FastRequest();
   request.stages = 3;
-  const SearchOptions options = ToSearchOptions(request, 2);
+  const SearchOptions options = ToSearchOptions(request);
   EXPECT_EQ(options.min_stages, 3);
   EXPECT_EQ(options.max_stages, 3);
 }
@@ -308,6 +319,23 @@ TEST(PlanServiceTest, UnbuildableGpuCountIsAnErrorNotAnAbort) {
   EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(response.status.message().find("12"), std::string::npos);
   EXPECT_EQ(service.stats().errors, 1);
+}
+
+TEST(PlanServiceTest, EvalThreadsBodyIsInvalidArgument) {
+  // A body reaches Handle only as a parsed PlanRequest, which has no thread
+  // count. A body naming eval_threads — even 1e9 — fails the parse with
+  // InvalidArgument, which the daemon answers with 400. Parsing only: no
+  // search, and so no thread, is started.
+  auto parsed = ParsePlanRequestJson(
+      R"({"model":"gpt3-0.35b","gpus":4,"eval_threads":1000000000})");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(HttpStatusForStatus(parsed.status()), 400);
+  auto envelope = JsonParse(BuildErrorEnvelope("r1", parsed.status()));
+  ASSERT_TRUE(envelope.ok());
+  EXPECT_EQ(envelope->Find("code")->string_value(), "INVALID_ARGUMENT");
+  EXPECT_NE(envelope->Find("message")->string_value().find("eval_threads"),
+            std::string::npos);
 }
 
 TEST(PlanServiceTest, AdmissionRejectsWhenSaturated) {
@@ -686,6 +714,16 @@ TEST_F(PlanDaemonTest, UnbuildableGpuCountIs400AndTheDaemonKeepsServing) {
   auto doc = JsonParse(next->body);
   ASSERT_TRUE(doc.ok()) << next->body;
   EXPECT_EQ(doc->Find("status")->string_value(), "ok");
+}
+
+TEST_F(PlanDaemonTest, EvalThreadsFieldIs400) {
+  auto bad = HttpCall("127.0.0.1", port_, "POST", "/plan",
+                      R"({"model":"gpt3-0.35b","gpus":4,"eval_threads":4})");
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  EXPECT_EQ(bad->status_code, 400);
+  EXPECT_NE(bad->body.find("unknown request field"), std::string::npos)
+      << bad->body;
+  EXPECT_EQ(daemon_.service().stats().requests, 0);
 }
 
 // Sends raw bytes and returns everything the server writes back. HttpCall

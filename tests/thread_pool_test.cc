@@ -4,8 +4,6 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
 namespace aceso {
 namespace {
@@ -57,88 +55,7 @@ TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
   EXPECT_EQ(count.load(), 50);
 }
 
-// The deadlock the work-stealing rewrite fixes: a task that submits subtasks
-// and waits for them on a pool whose every worker is itself blocked in such a
-// wait. On a 1-thread pool the old FIFO pool hung here unconditionally; the
-// helping TaskGroup::Wait drains the subtasks on the waiter's own stack.
-TEST(ThreadPoolTest, NestedSubmitAndGroupWaitOnSingleThreadPool) {
-  ThreadPool pool(1);
-  std::atomic<int> inner_runs{0};
-  TaskGroup outer(pool);
-  for (int i = 0; i < 4; ++i) {
-    outer.Submit([&pool, &inner_runs] {
-      TaskGroup inner(pool);
-      for (int j = 0; j < 8; ++j) {
-        inner.Submit([&inner_runs] { inner_runs.fetch_add(1); });
-      }
-      inner.Wait();
-    });
-  }
-  outer.Wait();
-  EXPECT_EQ(inner_runs.load(), 32);
-}
-
-// Same shape, two levels of nesting, every worker saturated with waiters.
-TEST(ThreadPoolTest, DeeplyNestedGroupsSaturatingAllWorkers) {
-  ThreadPool pool(2);
-  std::atomic<int> leaf_runs{0};
-  TaskGroup top(pool);
-  for (int i = 0; i < 6; ++i) {
-    top.Submit([&pool, &leaf_runs] {
-      TaskGroup mid(pool);
-      for (int j = 0; j < 3; ++j) {
-        mid.Submit([&pool, &leaf_runs] {
-          TaskGroup leaf(pool);
-          for (int k = 0; k < 3; ++k) {
-            leaf.Submit([&leaf_runs] { leaf_runs.fetch_add(1); });
-          }
-          leaf.Wait();
-        });
-      }
-      mid.Wait();
-    });
-  }
-  top.Wait();
-  EXPECT_EQ(leaf_runs.load(), 6 * 3 * 3);
-}
-
-// Pool-level Wait() called from inside a worker task must not wait for the
-// caller's own wrapper task (it can never finish while Wait() is on its
-// stack) — but must still drain everything else.
-TEST(ThreadPoolTest, PoolWaitFromInsideWorkerTask) {
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  pool.Submit([&pool, &count] {
-    for (int i = 0; i < 5; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();  // old pool: deadlock (in_flight includes ourselves)
-    EXPECT_EQ(count.load(), 5);
-  });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 5);
-}
-
-// A task exception surfaces from the owning TaskGroup's Wait(), and the
-// group still drains completely.
-TEST(ThreadPoolTest, GroupWaitRethrowsTaskException) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  TaskGroup group(pool);
-  for (int i = 0; i < 10; ++i) {
-    group.Submit([&ran, i] {
-      ran.fetch_add(1);
-      if (i == 3) {
-        throw std::runtime_error("boom");
-      }
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 10);
-  group.Wait();  // error consumed; a second wait is clean
-}
-
-// Group-less Submit() errors surface from the pool-level Wait() instead.
+// A task's exception surfaces from Wait(), which consumes it.
 TEST(ThreadPoolTest, PoolWaitRethrowsUngroupedTaskException) {
   ThreadPool pool(2);
   pool.Submit([] { throw std::runtime_error("loose"); });
@@ -146,58 +63,45 @@ TEST(ThreadPoolTest, PoolWaitRethrowsUngroupedTaskException) {
   pool.Wait();  // consumed
 }
 
-// An exception in one group must not leak into a sibling group or the pool.
-TEST(ThreadPoolTest, ExceptionsStayWithTheirGroup) {
+// A throwing task does not stop the others: Wait() returns only after every
+// task ran, then surfaces the first exception once.
+TEST(ThreadPoolTest, WaitRethrowsAfterEveryTaskRan) {
   ThreadPool pool(2);
-  TaskGroup bad(pool);
-  TaskGroup good(pool);
-  bad.Submit([] { throw std::runtime_error("bad group"); });
-  good.Submit([] {});
-  good.Wait();  // must not throw
-  EXPECT_THROW(bad.Wait(), std::runtime_error);
-  pool.Wait();  // must not throw
-}
-
-// ParallelFor from inside a pool task — the AcesoSearch shape, where an
-// outer stage-count search fans evaluation batches onto the same pool.
-TEST(ParallelForTest, NestsInsidePoolTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  ParallelFor(pool, 4, [&pool, &total](size_t) {
-    ParallelFor(pool, 16, [&total](size_t) { total.fetch_add(1); });
-  });
-  EXPECT_EQ(total.load(), 64);
-}
-
-// Stats sanity: executed covers every submission, and a steal shows up when
-// a worker drains a sibling's deque. (Steal counts are scheduling-dependent,
-// so only invariants are asserted.)
-TEST(ThreadPoolTest, StatsCountExecutionsAndSteals) {
-  ThreadPool pool(4);
-  const ThreadPoolStats before = pool.stats();
-  std::atomic<int> count{0};
-  ParallelFor(pool, 200, [&count](size_t) { count.fetch_add(1); });
-  const ThreadPoolStats delta = pool.stats() - before;
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_EQ(delta.submitted, 200);
-  EXPECT_EQ(delta.executed, 200);
-  EXPECT_GE(delta.stolen, 0);
-  EXPECT_LE(delta.stolen, 200);
-  EXPECT_GE(delta.helped, 0);
-}
-
-TEST(ParallelForTest, CoversAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  ParallelFor(pool, 64, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 10; ++i) {
+    pool.Submit([&ran, i] {
+      ran.fetch_add(1);
+      if (i == 3) {
+        throw std::runtime_error("boom");
+      }
+    });
   }
+  EXPECT_THROW(pool.Wait(), std::runtime_error);
+  EXPECT_EQ(ran.load(), 10);
+  pool.Wait();  // error consumed; a second wait is clean
 }
 
-TEST(ParallelForTest, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  ParallelFor(pool, 0, [](size_t) { FAIL() << "must not run"; });
+// The destructor runs what is still queued before joining, so a pool can be
+// dropped without a final Wait().
+TEST(ThreadPoolTest, DestructorRunsQueuedTasksWithoutWait) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(1);
+    for (int i = 0; i < 20; ++i) {
+      pool.Submit([&count] { count.fetch_add(1); });
+    }
+  }
+  EXPECT_EQ(count.load(), 20);
+}
+
+TEST(ThreadPoolTest, ExecutedCountsEveryTask) {
+  ThreadPool pool(4);
+  const int64_t before = pool.executed();
+  for (int i = 0; i < 200; ++i) {
+    pool.Submit([] {});
+  }
+  pool.Wait();
+  EXPECT_EQ(pool.executed() - before, 200);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // aceso_bench_search: search-throughput benchmark runner for CI.
 //
 //   aceso_bench_search [--out BENCH_search.json] [--budget SECONDS]
-//                      [--quick] [--batch-eval on|off]
+//                      [--quick]
 //
 // Measures the candidate-generation hot path (DESIGN.md §9) and fixed-budget
 // search throughput, and writes the results as a flat JSON report:
@@ -34,9 +34,6 @@ struct Args {
   std::string out = "BENCH_search.json";
   double budget = 2.0;   // per search setting, seconds
   bool quick = false;    // CI smoke mode: shorter budgets, fewer reps
-  // Default for the search runs; the batch_eval sweep section always
-  // measures both settings so the off/on comparison is in the report.
-  bool batch_eval = true;
 };
 
 bool ParseArgs(int argc, char** argv, Args& args) {
@@ -55,12 +52,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       }
     } else if (flag == "--quick") {
       args.quick = true;
-    } else if (flag == "--batch-eval") {
-      int choice = 0;
-      if (!cli::ParseChoice("--batch-eval", next(), {"on", "off"}, &choice)) {
-        return false;
-      }
-      args.batch_eval = choice == 0;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -144,7 +135,7 @@ struct SearchReport {
 };
 
 SearchReport BenchSearch(const std::string& model_name, int gpus, int stages,
-                         double budget, bool batch_eval) {
+                         double budget) {
   SearchReport report;
   report.setting = model_name + "@" + std::to_string(gpus) + "gpu";
   auto graph = models::BuildByName(model_name);
@@ -161,7 +152,6 @@ SearchReport BenchSearch(const std::string& model_name, int gpus, int stages,
   TelemetrySink telemetry(topts);
   SearchOptions options;
   options.time_budget_seconds = budget;
-  options.batch_eval = batch_eval;
   options.telemetry = &telemetry;
   const SearchResult result = AcesoSearchForStages(model, options, stages);
   for (const auto& [name, value] : telemetry.Counters()) {
@@ -190,183 +180,8 @@ SearchReport BenchSearch(const std::string& model_name, int gpus, int stages,
   return report;
 }
 
-// ----- Intra-search evaluation-parallelism sweep (DESIGN.md §11) -----
-
-// One sweep point: the same deterministic search (fixed evaluation budget)
-// at one eval_threads setting. Every point must land on the serial point's
-// exact best configuration — the sweep doubles as a release check of the
-// bit-identical-trajectory contract.
-struct EvalSweepPoint {
-  int eval_threads = 1;
-  double seconds = 0.0;
-  double speedup = 1.0;  // serial seconds / this point's seconds
-  int64_t configs_explored = 0;
-  uint64_t semantic_hash = 0;
-  bool matches_serial = true;
-  // Pool + batching counters for the run.
-  int64_t eval_batches = 0;
-  int64_t eval_batch_candidates = 0;
-  int64_t batch_batches = 0;
-  int64_t batch_lanes = 0;
-  int64_t batch_shared_saved = 0;
-  int64_t pool_tasks = 0;
-  int64_t pool_steals = 0;
-  int64_t pool_helped = 0;
-  int64_t profile_db_contended = 0;
-};
-
-struct EvalSweepReport {
-  std::string model = "gpt3-1.3b";
-  int gpus = 8;
-  int stages = 2;
-  int64_t max_evaluations = 0;
-  std::vector<EvalSweepPoint> points;
-};
-
-EvalSweepReport BenchEvalParallelism(bool quick, bool batch_eval) {
-  EvalSweepReport report;
-  report.max_evaluations = quick ? 1000 : 4000;
-  auto graph = models::BuildByName(report.model);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return report;
-  }
-  const ClusterSpec cluster = ClusterSpec::WithGpuCount(report.gpus);
-  for (const int eval_threads : {1, 2, 4, 8}) {
-    // Fresh database + model per point: each run pays the same cold-cache
-    // profiling cost, so the timing comparison is like-for-like.
-    ProfileDatabase db(cluster);
-    PerformanceModel model(&*graph, cluster, &db);
-    TelemetryOptions topts;
-    topts.ring_capacity = 0;
-    TelemetrySink telemetry(topts);
-    SearchOptions options;
-    options.time_budget_seconds = 1e9;  // the evaluation budget binds
-    options.max_evaluations = report.max_evaluations;
-    options.eval_threads = eval_threads;
-    options.batch_eval = batch_eval;
-    options.telemetry = &telemetry;
-    ThreadPool pool(static_cast<size_t>(eval_threads));
-    if (eval_threads > 1) {
-      options.eval_pool = &pool;
-    }
-    const double start = NowSeconds();
-    const SearchResult result =
-        AcesoSearchForStages(model, options, report.stages);
-    EvalSweepPoint point;
-    point.eval_threads = eval_threads;
-    point.seconds = NowSeconds() - start;
-    point.configs_explored = result.stats.configs_explored;
-    point.semantic_hash = result.found ? result.best.semantic_hash : 0;
-    const auto& counters = telemetry.Counters();
-    auto counter = [&counters](const char* name) -> int64_t {
-      const auto it = counters.find(name);
-      return it == counters.end() ? 0 : it->second;
-    };
-    point.eval_batches = counter("search.eval_batches");
-    point.eval_batch_candidates = counter("search.eval_batch_candidates");
-    point.batch_batches = counter("search.batch_batches");
-    point.batch_lanes = counter("search.batch_lanes");
-    point.batch_shared_saved = counter("search.batch_shared_saved");
-    const ThreadPoolStats pool_stats = pool.stats();
-    point.pool_tasks = pool_stats.executed;
-    point.pool_steals = pool_stats.stolen;
-    point.pool_helped = pool_stats.helped;
-    point.profile_db_contended = db.stats().lock_contended;
-    if (!report.points.empty()) {
-      const EvalSweepPoint& serial = report.points.front();
-      point.speedup =
-          point.seconds > 0 ? serial.seconds / point.seconds : 0.0;
-      point.matches_serial =
-          point.semantic_hash == serial.semantic_hash &&
-          point.configs_explored == serial.configs_explored;
-    }
-    report.points.push_back(point);
-  }
-  return report;
-}
-
-// ----- Batched group evaluation sweep (DESIGN.md §13) -----
-
-// The same deterministic fixed-budget search with batched candidate-group
-// evaluation off, then on. The trajectories must match exactly — the sweep
-// is a release check of the batched≡scalar contract — and the on point
-// carries the SoA sharing counters so regressions in the broadcast rate
-// (shared-stage lookups saved per lane) are visible in the report.
-struct BatchSweepPoint {
-  bool batch_eval = false;
-  double seconds = 0.0;
-  double speedup = 1.0;  // scalar seconds / this point's seconds
-  int64_t configs_explored = 0;
-  uint64_t semantic_hash = 0;
-  bool matches_scalar = true;
-  int64_t batch_batches = 0;
-  int64_t batch_lanes = 0;
-  int64_t batch_stage_groups = 0;
-  int64_t batch_shared_saved = 0;
-};
-
-struct BatchSweepReport {
-  std::string model = "gpt3-1.3b";
-  int gpus = 8;
-  int stages = 2;
-  int64_t max_evaluations = 0;
-  std::vector<BatchSweepPoint> points;
-};
-
-BatchSweepReport BenchBatchEval(bool quick) {
-  BatchSweepReport report;
-  report.max_evaluations = quick ? 1000 : 4000;
-  auto graph = models::BuildByName(report.model);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
-    return report;
-  }
-  const ClusterSpec cluster = ClusterSpec::WithGpuCount(report.gpus);
-  for (const bool batch_eval : {false, true}) {
-    ProfileDatabase db(cluster);
-    PerformanceModel model(&*graph, cluster, &db);
-    TelemetryOptions topts;
-    topts.ring_capacity = 0;
-    TelemetrySink telemetry(topts);
-    SearchOptions options;
-    options.time_budget_seconds = 1e9;  // the evaluation budget binds
-    options.max_evaluations = report.max_evaluations;
-    options.batch_eval = batch_eval;
-    options.telemetry = &telemetry;
-    const double start = NowSeconds();
-    const SearchResult result =
-        AcesoSearchForStages(model, options, report.stages);
-    BatchSweepPoint point;
-    point.batch_eval = batch_eval;
-    point.seconds = NowSeconds() - start;
-    point.configs_explored = result.stats.configs_explored;
-    point.semantic_hash = result.found ? result.best.semantic_hash : 0;
-    const auto& counters = telemetry.Counters();
-    auto counter = [&counters](const char* name) -> int64_t {
-      const auto it = counters.find(name);
-      return it == counters.end() ? 0 : it->second;
-    };
-    point.batch_batches = counter("search.batch_batches");
-    point.batch_lanes = counter("search.batch_lanes");
-    point.batch_stage_groups = counter("search.batch_stage_groups");
-    point.batch_shared_saved = counter("search.batch_shared_saved");
-    if (!report.points.empty()) {
-      const BatchSweepPoint& scalar = report.points.front();
-      point.speedup =
-          point.seconds > 0 ? scalar.seconds / point.seconds : 0.0;
-      point.matches_scalar =
-          point.semantic_hash == scalar.semantic_hash &&
-          point.configs_explored == scalar.configs_explored;
-    }
-    report.points.push_back(point);
-  }
-  return report;
-}
-
 void WriteJson(const Args& args, const CandidateReport& cand,
-               const std::vector<SearchReport>& searches,
-               const EvalSweepReport& sweep, const BatchSweepReport& batch) {
+               const std::vector<SearchReport>& searches) {
   std::FILE* f = std::fopen(args.out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", args.out.c_str());
@@ -410,80 +225,7 @@ void WriteJson(const Args& args, const CandidateReport& cand,
     std::fprintf(f, "\n      }\n");
     std::fprintf(f, "    }%s\n", i + 1 < searches.size() ? "," : "");
   }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"eval_parallelism\": {\n");
-  std::fprintf(f, "    \"model\": \"%s\",\n", sweep.model.c_str());
-  std::fprintf(f, "    \"gpus\": %d,\n", sweep.gpus);
-  std::fprintf(f, "    \"stages\": %d,\n", sweep.stages);
-  std::fprintf(f, "    \"max_evaluations\": %lld,\n",
-               static_cast<long long>(sweep.max_evaluations));
-  std::fprintf(f, "    \"points\": [\n");
-  for (size_t i = 0; i < sweep.points.size(); ++i) {
-    const EvalSweepPoint& p = sweep.points[i];
-    std::fprintf(f, "      {\n");
-    std::fprintf(f, "        \"eval_threads\": %d,\n", p.eval_threads);
-    std::fprintf(f, "        \"seconds\": %.3f,\n", p.seconds);
-    std::fprintf(f, "        \"speedup\": %.2f,\n", p.speedup);
-    std::fprintf(f, "        \"configs_explored\": %lld,\n",
-                 static_cast<long long>(p.configs_explored));
-    std::fprintf(f, "        \"semantic_hash\": \"%llu\",\n",
-                 static_cast<unsigned long long>(p.semantic_hash));
-    std::fprintf(f, "        \"matches_serial\": %s,\n",
-                 p.matches_serial ? "true" : "false");
-    std::fprintf(f, "        \"eval_batches\": %lld,\n",
-                 static_cast<long long>(p.eval_batches));
-    std::fprintf(f, "        \"eval_batch_candidates\": %lld,\n",
-                 static_cast<long long>(p.eval_batch_candidates));
-    std::fprintf(f, "        \"batch_batches\": %lld,\n",
-                 static_cast<long long>(p.batch_batches));
-    std::fprintf(f, "        \"batch_lanes\": %lld,\n",
-                 static_cast<long long>(p.batch_lanes));
-    std::fprintf(f, "        \"batch_shared_saved\": %lld,\n",
-                 static_cast<long long>(p.batch_shared_saved));
-    std::fprintf(f, "        \"pool_tasks\": %lld,\n",
-                 static_cast<long long>(p.pool_tasks));
-    std::fprintf(f, "        \"pool_steals\": %lld,\n",
-                 static_cast<long long>(p.pool_steals));
-    std::fprintf(f, "        \"pool_helped\": %lld,\n",
-                 static_cast<long long>(p.pool_helped));
-    std::fprintf(f, "        \"profile_db_lock_contended\": %lld\n",
-                 static_cast<long long>(p.profile_db_contended));
-    std::fprintf(f, "      }%s\n", i + 1 < sweep.points.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"batch_eval\": {\n");
-  std::fprintf(f, "    \"model\": \"%s\",\n", batch.model.c_str());
-  std::fprintf(f, "    \"gpus\": %d,\n", batch.gpus);
-  std::fprintf(f, "    \"stages\": %d,\n", batch.stages);
-  std::fprintf(f, "    \"max_evaluations\": %lld,\n",
-               static_cast<long long>(batch.max_evaluations));
-  std::fprintf(f, "    \"points\": [\n");
-  for (size_t i = 0; i < batch.points.size(); ++i) {
-    const BatchSweepPoint& p = batch.points[i];
-    std::fprintf(f, "      {\n");
-    std::fprintf(f, "        \"batch_eval\": %s,\n",
-                 p.batch_eval ? "true" : "false");
-    std::fprintf(f, "        \"seconds\": %.3f,\n", p.seconds);
-    std::fprintf(f, "        \"speedup\": %.2f,\n", p.speedup);
-    std::fprintf(f, "        \"configs_explored\": %lld,\n",
-                 static_cast<long long>(p.configs_explored));
-    std::fprintf(f, "        \"semantic_hash\": \"%llu\",\n",
-                 static_cast<unsigned long long>(p.semantic_hash));
-    std::fprintf(f, "        \"matches_scalar\": %s,\n",
-                 p.matches_scalar ? "true" : "false");
-    std::fprintf(f, "        \"batch_batches\": %lld,\n",
-                 static_cast<long long>(p.batch_batches));
-    std::fprintf(f, "        \"batch_lanes\": %lld,\n",
-                 static_cast<long long>(p.batch_lanes));
-    std::fprintf(f, "        \"batch_stage_groups\": %lld,\n",
-                 static_cast<long long>(p.batch_stage_groups));
-    std::fprintf(f, "        \"batch_shared_saved\": %lld\n",
-                 static_cast<long long>(p.batch_shared_saved));
-    std::fprintf(f, "      }%s\n", i + 1 < batch.points.size() ? "," : "");
-  }
-  std::fprintf(f, "    ]\n");
-  std::fprintf(f, "  }\n");
+  std::fprintf(f, "  ]\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
 }
@@ -492,8 +234,7 @@ int Main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, args)) {
     std::fprintf(stderr,
-                 "usage: %s [--out FILE] [--budget SECONDS] [--quick] "
-                 "[--batch-eval on|off]\n",
+                 "usage: %s [--out FILE] [--budget SECONDS] [--quick]\n",
                  argv[0]);
     return 2;
   }
@@ -505,11 +246,9 @@ int Main(int argc, char** argv) {
               cand.cow_ns, cand.deep_ns, cand.speedup);
 
   std::vector<SearchReport> searches;
-  searches.push_back(
-      BenchSearch("gpt3-2.6b", 8, 2, args.budget, args.batch_eval));
+  searches.push_back(BenchSearch("gpt3-2.6b", 8, 2, args.budget));
   if (!args.quick) {
-    searches.push_back(
-        BenchSearch("wresnet-2b", 4, 2, args.budget, args.batch_eval));
+    searches.push_back(BenchSearch("wresnet-2b", 4, 2, args.budget));
   }
   for (const SearchReport& s : searches) {
     std::printf(
@@ -518,29 +257,7 @@ int Main(int argc, char** argv) {
         s.seconds, s.configs_per_sec, 100.0 * s.cache_hit_rate);
   }
 
-  std::printf("eval-parallelism sweep (gpt3-1.3b @8gpu, 2 stages)...\n");
-  const EvalSweepReport sweep = BenchEvalParallelism(args.quick, args.batch_eval);
-  for (const EvalSweepPoint& p : sweep.points) {
-    std::printf(
-        "  eval_threads=%d: %.2fs (%.2fx), %lld batches, %lld steals%s\n",
-        p.eval_threads, p.seconds, p.speedup,
-        static_cast<long long>(p.eval_batches),
-        static_cast<long long>(p.pool_steals),
-        p.matches_serial ? "" : "  ** TRAJECTORY MISMATCH **");
-  }
-
-  std::printf("batch-eval sweep (gpt3-1.3b @8gpu, 2 stages)...\n");
-  const BatchSweepReport batch = BenchBatchEval(args.quick);
-  for (const BatchSweepPoint& p : batch.points) {
-    std::printf(
-        "  batch_eval=%s: %.2fs (%.2fx), %lld lanes, %lld lookups saved%s\n",
-        p.batch_eval ? "on" : "off", p.seconds, p.speedup,
-        static_cast<long long>(p.batch_lanes),
-        static_cast<long long>(p.batch_shared_saved),
-        p.matches_scalar ? "" : "  ** TRAJECTORY MISMATCH **");
-  }
-
-  WriteJson(args, cand, searches, sweep, batch);
+  WriteJson(args, cand, searches);
   std::printf("wrote %s\n", args.out.c_str());
   return 0;
 }

@@ -27,7 +27,6 @@ struct Args {
   double budget = 2.0;
   int max_hops = 7;
   int stages = 0;  // 0 = search all stage counts
-  int eval_threads = 1;
   aceso::SeedMode seed_mode = aceso::SeedMode::kHeuristic;
   uint64_t seed = 20240422;
   std::string out;
@@ -39,7 +38,7 @@ void PrintUsage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--model NAME] [--gpus N] [--budget SECONDS] "
-      "[--max-hops N] [--stages N] [--eval-threads N] [--seed N] "
+      "[--max-hops N] [--stages N] [--seed N] "
       "[--out FILE]\n"
       "          [--seed-mode heuristic|dp] [--telemetry FILE.jsonl] "
       "[--search-trace FILE.json]\n"
@@ -69,10 +68,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       if (!ParsePositiveInt("--max-hops", next(), &args.max_hops)) return false;
     } else if (flag == "--stages") {
       if (!ParseInt("--stages", next(), &args.stages)) return false;
-    } else if (flag == "--eval-threads") {
-      if (!ParsePositiveInt("--eval-threads", next(), &args.eval_threads)) {
-        return false;
-      }
     } else if (flag == "--seed") {
       if (!ParseUint64("--seed", next(), &args.seed)) return false;
     } else if (flag == "--seed-mode") {
@@ -138,7 +133,6 @@ int main(int argc, char** argv) {
   SearchOptions options;
   options.time_budget_seconds = args.budget;
   options.max_hops = args.max_hops;
-  options.eval_threads = args.eval_threads;
   options.seed_mode = args.seed_mode;
   options.seed = args.seed;
   options.telemetry = telemetry.get();

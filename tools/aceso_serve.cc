@@ -1,7 +1,7 @@
 // aceso_serve: the long-lived planning daemon (DESIGN.md §14).
 //
 //   aceso_serve [--host 127.0.0.1] [--port 8700] [--workers N]
-//               [--eval-threads N] [--cache-capacity N] [--max-inflight N]
+//               [--cache-capacity N] [--max-inflight N]
 //               [--http-workers N] [--idle-timeout SECONDS]
 //               [--snapshot-dir DIR] [--save-on-exit] [--no-neighbor-seed]
 //
@@ -29,7 +29,6 @@ struct Args {
   std::string host = "127.0.0.1";
   int port = 8700;
   int workers = 0;  // 0 = auto (see ServeOptions)
-  int eval_threads = 2;
   int cache_capacity = 64;
   int max_inflight = 4;
   int http_workers = 2;        // epoll event-loop workers
@@ -44,7 +43,7 @@ struct Args {
 void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--host ADDR] [--port N] [--workers N] "
-               "[--eval-threads N] [--cache-capacity N]\n"
+               "[--cache-capacity N]\n"
                "          [--max-inflight N] [--http-workers N] "
                "[--idle-timeout SECONDS]\n"
                "          [--snapshot-dir DIR] [--save-on-exit] "
@@ -71,10 +70,6 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       }
     } else if (flag == "--workers") {
       if (!ParsePositiveInt("--workers", next(), &args.workers)) return false;
-    } else if (flag == "--eval-threads") {
-      if (!ParsePositiveInt("--eval-threads", next(), &args.eval_threads)) {
-        return false;
-      }
     } else if (flag == "--cache-capacity") {
       if (!ParseInt("--cache-capacity", next(), &args.cache_capacity) ||
           args.cache_capacity < 0) {
@@ -129,7 +124,6 @@ int main(int argc, char** argv) {
 
   serve::ServeOptions options;
   options.worker_threads = args.workers;
-  options.eval_threads = args.eval_threads;
   options.plan_cache_capacity = static_cast<size_t>(args.cache_capacity);
   options.max_inflight_searches = args.max_inflight;
   options.http_workers = args.http_workers;
