@@ -247,6 +247,73 @@ void BM_RehashAfterMutationUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_RehashAfterMutationUncached);
 
+// ----- Recompute fix-up -----
+//
+// FixRecompute on a stage a primitive just rebuilt, as candidate
+// construction runs it: each iteration copies one of two base configs that
+// differ in that stage and clones the stage (a fresh block with no cached
+// words or walk plan), against a one-entry stage cache, so a fix-up that
+// reads the stage's cost pays what the search pays on a stage-cache miss:
+// the stage hash, the walk and the insert. Arg 0: a deepnet-256 stage on a
+// device an eighth too small (the add-recompute pass). Arg 1: a fully
+// recomputed wresnet-2b stage with room to store 1/64 of its activations
+// again, so a couple of ops are released, as in most release fix-ups of a
+// wresnet-2b search (the release pass). The walk-free fix-up reads no stage
+// cost and sorts nothing; CI pins both at 2x.
+void BM_FixRecompute(benchmark::State& state) {
+  const bool release = state.range(0) == 1;
+  const OpGraph graph =
+      release ? models::WideResnet(2.0) : models::DeepTransformer(256);
+  ClusterSpec cluster = ClusterSpec::WithGpuCount(release ? 8 : 16);
+  ProfileDatabase db(cluster);
+  ParallelConfig base = *MakeEvenConfig(graph, cluster, 4, 1);
+  const int stage = 1;
+  int64_t limit = 0;
+  {
+    const PerformanceModel probe(&graph, cluster, &db);
+    const int64_t memory = probe.StageMemory(base, stage);
+    if (release) {
+      for (OpParallel& setting : base.MutableStage(stage).ops) {
+        setting.recompute = true;
+      }
+      const int64_t recomputed = probe.StageMemory(base, stage);
+      limit = recomputed + (memory - recomputed) / 64;
+    } else {
+      limit = memory - memory / 8;
+    }
+  }
+  // The second base differs in its stage's last op: a tp-dim flip.
+  ParallelConfig other = base;
+  {
+    OpParallel& last = other.MutableStage(stage).ops.back();
+    last.tp_dim = last.tp_dim == TpDim::kColumn ? TpDim::kRow : TpDim::kColumn;
+  }
+  const ParallelConfig* bases[] = {&base, &other};
+  cluster.gpu.memory_bytes = limit;
+  StageCacheOptions one_entry;
+  one_entry.capacity = 1;
+  one_entry.num_shards = 1;
+  PerformanceModel model(&graph, cluster, &db, one_entry);
+  int round = 0;
+  const int64_t lookups_before = db.stats().lookups;
+  for (auto _ : state) {
+    ParallelConfig candidate = *bases[round++ & 1];
+    candidate.MutableStage(stage);
+    FixRecompute(model, candidate, stage);
+    benchmark::DoNotOptimize(candidate);
+  }
+  state.counters["profile_lookups"] = benchmark::Counter(
+      static_cast<double>(db.stats().lookups - lookups_before),
+      benchmark::Counter::kAvgIterations);
+  ParallelConfig fixed = base;
+  FixRecompute(model, fixed, stage);
+  state.SetLabel(std::string(release ? "release" : "add") + ", " +
+                 std::to_string(base.stage(stage).num_ops) + " ops, " +
+                 std::to_string(fixed.stage(stage).NumRecomputed()) +
+                 " recomputed after");
+}
+BENCHMARK(BM_FixRecompute)->Arg(0)->Arg(1);
+
 // ----- Sibling-group evaluation -----
 //
 // The search scores a group of sibling candidates that all differ from

@@ -37,16 +37,6 @@ std::string FormatSeconds(double seconds) {
   return FormatWithSuffix(seconds * 1e6, "us");
 }
 
-int64_t RoundUpAllocSize(int64_t bytes) {
-  if (bytes <= 0) {
-    return 512;
-  }
-  if (bytes < kMiB) {
-    return (bytes + 511) / 512 * 512;
-  }
-  return (bytes + 2 * kMiB - 1) / (2 * kMiB) * (2 * kMiB);
-}
-
 std::string FormatDouble(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

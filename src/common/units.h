@@ -4,6 +4,7 @@
 #ifndef SRC_COMMON_UNITS_H_
 #define SRC_COMMON_UNITS_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -34,7 +35,27 @@ std::string FormatDouble(double value, int precision);
 // does: 512 B granularity below 1 MiB, 2 MiB granularity above. Shared by
 // the allocator simulation (src/runtime) and the memory model (src/cost),
 // which deliberately prices this rounding into Eq. 1's activation term.
-int64_t RoundUpAllocSize(int64_t bytes);
+// Inline: the memory passes call it once per op.
+inline int64_t RoundUpAllocSize(int64_t bytes) {
+  if (bytes <= 0) {
+    return 512;
+  }
+  if (bytes < kMiB) {
+    return (bytes + 511) / 512 * 512;
+  }
+  return (bytes + 2 * kMiB - 1) / (2 * kMiB) * (2 * kMiB);
+}
+
+// `bytes / divisor` for non-negative bytes and a positive divisor: a shift
+// when the divisor is a power of two, as every parallel degree of a valid
+// config is. A 64-bit division costs tens of cycles, and the per-op memory
+// passes of the cost model and the recompute fix-up do a few per op.
+inline int64_t DivideBytes(int64_t bytes, int divisor) {
+  if (bytes >= 0 && divisor > 0 && (divisor & (divisor - 1)) == 0) {
+    return bytes >> std::countr_zero(static_cast<unsigned>(divisor));
+  }
+  return bytes / divisor;
+}
 
 }  // namespace aceso
 

@@ -1,10 +1,12 @@
 #include "src/core/apply.h"
 
 #include <algorithm>
+#include <charconv>
 #include <numeric>
-#include <sstream>
+#include <string_view>
 
 #include "src/common/logging.h"
+#include "src/common/units.h"
 
 namespace aceso {
 namespace {
@@ -31,7 +33,7 @@ int64_t ApproxStoredBytes(const Operator& op, const OpParallel& setting,
   } else if (op.tp_class == TpClass::kShardFollower) {
     shards = EffectiveShards(op, setting.tp);
   }
-  return op.out_bytes * static_cast<int64_t>(mbs / setting.dp) / shards;
+  return DivideBytes(op.out_bytes * DivideBytes(mbs, setting.dp), shards);
 }
 
 // Re-derives one op's settings for a destination stage with uniform target
@@ -57,6 +59,57 @@ void RederiveStage(const OpGraph& graph, StageConfig& stage, int target_tp) {
   }
 }
 
+// The greedy "enable the largest first until the stage fits" pass, without
+// sorting: calls `flip(index)` for exactly the pairs that visiting `pairs`
+// in descending (bytes, index) order would, where each visit first stops
+// once `need <= 0` and then subtracts bytes * in_flight from `need`. A
+// quickselect on the running byte total: each round partitions the
+// undecided range around a pivot and either settles everything above it
+// (their total does not cover `need`) or drops everything below it.
+// Expected O(n); the flip order differs, the flipped set does not.
+template <typename Flip>
+void ForEachLargestUntil(std::vector<std::pair<int64_t, int>>& pairs,
+                         int64_t need, int64_t in_flight, Flip flip) {
+  auto first = pairs.begin();
+  auto last = pairs.end();
+  while (need > 0 && first != last) {
+    // Median of three keeps periodic stages (repeated layers) balanced.
+    const auto mid = first + (last - first) / 2;
+    const auto hi = last - 1;
+    if (*mid < *first) {
+      std::iter_swap(mid, first);
+    }
+    if (*hi < *first) {
+      std::iter_swap(hi, first);
+    }
+    if (*hi < *mid) {
+      std::iter_swap(hi, mid);
+    }
+    const std::pair<int64_t, int> pivot = *mid;
+    // [first, above): larger than the pivot, visited before it.
+    const auto above =
+        std::partition(first, last, [&](const std::pair<int64_t, int>& p) {
+          return p > pivot;
+        });
+    int64_t above_bytes = 0;
+    for (auto it = first; it != above && above_bytes < need; ++it) {
+      above_bytes += it->first * in_flight;
+    }
+    if (above_bytes >= need) {
+      last = above;  // the pass stops before it reaches the pivot
+      continue;
+    }
+    for (auto it = first; it != above; ++it) {
+      flip(it->second);
+    }
+    need -= above_bytes + pivot.first * in_flight;
+    flip(pivot.second);
+    // The pivot is the largest of [above, last); step past it.
+    std::iter_swap(above, std::find(above, last, pivot));
+    first = above + 1;
+  }
+}
+
 }  // namespace
 
 double EstimateOpTime(const PerformanceModel& model, const Operator& op,
@@ -77,22 +130,28 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
   if (stage_index < 0 || stage_index >= config.num_stages()) {
     return;
   }
-  // The fix reads one number, this stage's Eq. 1 memory, and that depends
-  // on the stage alone: one stage-cost probe, not an Evaluate() of the
-  // whole config.
-  const int64_t memory =
-      StageMemoryBytes(*model.ResolveStageCost(config, stage_index),
-                       config.num_stages(), stage_index);
+  // The fix reads one number, this stage's Eq. 1 memory, from an
+  // integer-only pass: no stage-cost walk, no cache probe (DESIGN.md §18).
+  const int64_t memory = model.StageMemory(config, stage_index);
   const int64_t limit = model.cluster().gpu.memory_bytes;
-  StageConfig& stage = config.MutableStage(stage_index);
+  const StageConfig& stage = config.stage(stage_index);
   const int64_t in_flight =
       std::max(1, config.num_stages() - stage_index);
   const int mbs = config.microbatch_size();
+  // The stage is cloned for writing only once a flag actually flips, so a
+  // no-op fix keeps the block (and its hash caches) shared.
+  StageConfig* mutable_stage = nullptr;
+  auto set_recompute = [&](int i, bool recompute) {
+    if (mutable_stage == nullptr) {
+      mutable_stage = &config.MutableStage(stage_index);
+    }
+    mutable_stage->ops[static_cast<size_t>(i)].recompute = recompute;
+  };
 
   if (memory > limit) {
     // Enable recompute on the fattest activations until the stage fits.
-    int64_t need = memory - limit;
     std::vector<std::pair<int64_t, int>> by_size;  // (stored bytes, op index)
+    by_size.reserve(static_cast<size_t>(stage.num_ops));
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
       if (!setting.recompute) {
@@ -103,39 +162,44 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
         }
       }
     }
-    std::sort(by_size.begin(), by_size.end(),
-              std::greater<std::pair<int64_t, int>>());
-    for (const auto& [stored, i] : by_size) {
-      if (need <= 0) {
-        break;
-      }
-      stage.ops[static_cast<size_t>(i)].recompute = true;
-      need -= stored * in_flight;
-    }
+    ForEachLargestUntil(by_size, memory - limit, in_flight,
+                        [&](int i) { set_recompute(i, true); });
   } else {
     // Release recompute where memory allows, cheapest savings first --
     // i.e. drop the recomputations with the highest time cost per byte.
+    // The slack only shrinks, so an op whose release needs more than the
+    // initial slack can never be released: it is skipped before its
+    // profile lookup.
     int64_t slack = limit - memory;
-    std::vector<std::pair<double, int>> by_cost;  // (recompute time, op index)
+    struct Release {
+      double cost;  // recompute time
+      int index;
+      int64_t added;  // bytes stored again once released
+    };
+    std::vector<Release> by_cost;
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      if (setting.recompute) {
-        const Operator& op = model.graph().op(stage.first_op + i);
-        const OpMeasurement m = model.db().OpTime(
-            op, model.graph().precision(), EffectiveShards(op, setting.tp),
-            std::max(1, mbs / setting.dp));
-        by_cost.emplace_back(m.fwd_seconds, i);
+      if (!setting.recompute) {
+        continue;
       }
+      const Operator& op = model.graph().op(stage.first_op + i);
+      const int64_t added = ApproxStoredBytes(op, setting, mbs) * in_flight;
+      if (added > slack) {
+        continue;
+      }
+      const OpMeasurement m = model.db().OpTime(
+          op, model.graph().precision(), EffectiveShards(op, setting.tp),
+          std::max(1, mbs / setting.dp));
+      by_cost.push_back(Release{m.fwd_seconds, i, added});
     }
     std::sort(by_cost.begin(), by_cost.end(),
-              std::greater<std::pair<double, int>>());
-    for (const auto& [cost, i] : by_cost) {
-      const Operator& op = model.graph().op(stage.first_op + i);
-      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      const int64_t added = ApproxStoredBytes(op, setting, mbs) * in_flight;
-      if (added <= slack) {
-        stage.ops[static_cast<size_t>(i)].recompute = false;
-        slack -= added;
+              [](const Release& a, const Release& b) {
+                return std::pair(a.cost, a.index) > std::pair(b.cost, b.index);
+              });
+    for (const Release& release : by_cost) {
+      if (release.added <= slack) {
+        set_recompute(release.index, false);
+        slack -= release.added;
       }
     }
   }
@@ -287,7 +351,7 @@ class CandidateBuilder {
   // microbatch change), so Validate's per-op checks run on those alone: the
   // rest are the valid base's shared blocks. The rc and ZeRO primitives
   // pass none — they flip only fields Validate does not check.
-  void Emit(ParallelConfig config, const std::string& description,
+  void Emit(ParallelConfig config, std::string description,
             const std::vector<int>& touched_stages) {
     if (!config.Validate(model_.graph(), model_.cluster(), &touched_stages)
              .ok()) {
@@ -298,17 +362,24 @@ class CandidateBuilder {
         FixRecompute(model_, config, s);
       }
     }
+    if (out_.empty()) {
+      out_.reserve(kInitialCandidates);
+    }
     Candidate candidate;
     candidate.config = std::move(config);
     candidate.primitive = kind_;
     candidate.stage = stage_;
-    candidate.description = description;
+    candidate.description = std::move(description);
     out_.push_back(std::move(candidate));
   }
 
   std::vector<Candidate> Take() { return std::move(out_); }
 
  private:
+  // First allocation of the output: most calls emit a handful of
+  // candidates, so growth rarely reallocates past it.
+  static constexpr size_t kInitialCandidates = 4;
+
   const PerformanceModel& model_;
   const ParallelConfig& base_;
   PrimitiveKind kind_;
@@ -317,13 +388,27 @@ class CandidateBuilder {
   std::vector<Candidate> out_;
 };
 
-std::string Desc(PrimitiveKind kind, int stage, const std::string& extra) {
-  std::ostringstream oss;
-  oss << PrimitiveName(kind) << "(s" << stage << ")";
-  if (!extra.empty()) {
-    oss << " " << extra;
+void AppendPart(std::string& out, std::string_view part) { out += part; }
+
+void AppendPart(std::string& out, int value) {
+  char digits[16];
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), value).ptr);
+}
+
+// A candidate's description: "<primitive>(s<stage>)", then a space and the
+// `extra` parts (strings and ints, concatenated) when there are any.
+template <typename... Extra>
+std::string Desc(PrimitiveKind kind, int stage, const Extra&... extra) {
+  std::string out = PrimitiveName(kind);
+  out += "(s";
+  AppendPart(out, stage);
+  out += ')';
+  if constexpr (sizeof...(extra) > 0) {
+    out += ' ';
+    (AppendPart(out, extra), ...);
   }
-  return oss.str();
+  return out;
 }
 
 // Generates device-migration candidates: `gain` stage absorbs d devices from
@@ -362,10 +447,9 @@ void EmitDeviceMigrations(CandidateBuilder& builder,
                     gain_into_tp ? gain_tp * gain_ratio : gain_tp);
       RederiveStage(model.graph(), lose_stage,
                     lose_from_tp ? lose_tp / lose_ratio : lose_tp);
-      std::ostringstream extra;
-      extra << "+" << d << "gpu from s" << lose << " partner "
-            << (lose_from_tp ? "dec-tp" : "dec-dp");
-      builder.Emit(std::move(next), Desc(kind, gain, extra.str()),
+      builder.Emit(std::move(next),
+                   Desc(kind, gain, "+", d, "gpu from s", lose, " partner ",
+                        lose_from_tp ? "dec-tp" : "dec-dp"),
                    {gain, lose});
     }
   }
@@ -411,10 +495,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
           touched.push_back(s + step);
         }
         if (ok) {
-          std::ostringstream extra;
-          extra << count << "ops -> s" << idlest;
-          builder.Emit(std::move(next), Desc(kind, stage, extra.str()),
-                       touched);
+          builder.Emit(std::move(next),
+                       Desc(kind, stage, count, "ops -> s", idlest), touched);
         }
       }
       // Direct single-hop moves to each neighbour.
@@ -424,9 +506,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         }
         ParallelConfig next = config;
         if (MoveOps(model, next, stage, neighbor, 1)) {
-          std::ostringstream extra;
-          extra << "1op -> s" << neighbor;
-          builder.Emit(std::move(next), Desc(kind, stage, extra.str()),
+          builder.Emit(std::move(next),
+                       Desc(kind, stage, "1op -> s", neighbor),
                        {stage, neighbor});
         }
       }
@@ -449,9 +530,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
                                           from_front, gap)) {
           ParallelConfig next = config;
           if (MoveOps(model, next, neighbor, stage, count)) {
-            std::ostringstream extra;
-            extra << count << "ops <- s" << neighbor;
-            builder.Emit(std::move(next), Desc(kind, stage, extra.str()),
+            builder.Emit(std::move(next),
+                         Desc(kind, stage, count, "ops <- s", neighbor),
                          {stage, neighbor});
           }
         }
@@ -468,7 +548,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         std::vector<int> touched(static_cast<size_t>(p));
         std::iota(touched.begin(), touched.end(), 0);
         builder.Emit(std::move(next),
-                     Desc(kind, stage, "mbs=" + std::to_string(next_mbs)),
+                     Desc(kind, stage, "mbs=", next_mbs),
                      touched);
       }
       break;
@@ -481,7 +561,7 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
         std::vector<int> touched(static_cast<size_t>(p));
         std::iota(touched.begin(), touched.end(), 0);
         builder.Emit(std::move(next),
-                     Desc(kind, stage, "mbs=" + std::to_string(mbs / 2)),
+                     Desc(kind, stage, "mbs=", mbs / 2),
                      touched);
       }
       break;

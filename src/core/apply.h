@@ -47,10 +47,12 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
 
 // §4.3 recompute attachment: greedily enables recomputation (largest stored
 // activation first) in `stage` until its memory fits the device, or disables
-// it (most expensive recompute first) while memory allows. Reads only the
-// stage's own cost (PerformanceModel::ResolveStageCost), not a whole-config
-// evaluation. Mutates `config` in place; no-op when the stage cannot be
-// fixed.
+// it (most expensive recompute first) while memory allows. Reads no stage
+// cost: the stage's Eq. 1 memory comes from PerformanceModel::StageMemory,
+// an integer-only pass, so the fix-up probes no cache and walks nothing.
+// Neither pass sorts the whole stage (DESIGN.md §18). Mutates `config` in
+// place, cloning the stage only when a flag flips; no-op when the stage
+// cannot be fixed.
 void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
                   int stage);
 

@@ -173,7 +173,7 @@ struct SearchStats {
   // Every configuration evaluation the search performed on its own behalf:
   // the initial configuration, every generated candidate, and every
   // fine-tuning trial. (FixRecompute — the §4.3 attachment and the
-  // inc-rc/dec-rc fit/relax constructions — reads single stage costs as
+  // inc-rc/dec-rc fit/relax constructions — reads single stage memories as
   // part of candidate *construction*; it is not exploration and is not
   // counted.)
   int64_t configs_explored = 0;

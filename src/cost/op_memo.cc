@@ -54,12 +54,12 @@ const OpBreakdown* OpBreakdownMemo::Lookup(uint64_t key) const {
       break;
     }
     if (entry->key == key) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kHits);
       return &entry->value;
     }
     index = (index + 1) & mask_;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kMisses);
   return nullptr;
 }
 
@@ -73,7 +73,7 @@ const OpBreakdown* OpBreakdownMemo::Insert(uint64_t key,
   // lookups fast and memory bounded.
   if (entries_.load(std::memory_order_relaxed) >=
       static_cast<int64_t>((mask_ + 1) - ((mask_ + 1) >> 3))) {
-    inserts_dropped_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kInsertsDropped);
     return nullptr;
   }
   Entry* fresh = nullptr;
@@ -104,15 +104,15 @@ const OpBreakdown* OpBreakdownMemo::Insert(uint64_t key,
     index = (index + 1) & mask_;
   }
   delete fresh;
-  inserts_dropped_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kInsertsDropped);
   return nullptr;
 }
 
 OpMemoStats OpBreakdownMemo::stats() const {
   OpMemoStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.inserts_dropped = inserts_dropped_.load(std::memory_order_relaxed);
+  s.hits = counters_.Sum(kHits);
+  s.misses = counters_.Sum(kMisses);
+  s.inserts_dropped = counters_.Sum(kInsertsDropped);
   s.entries = entries_.load(std::memory_order_relaxed);
   return s;
 }

@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/striped_counters.h"
+
 namespace aceso {
 
 struct OpBreakdown;  // src/cost/perf_model.h
@@ -70,8 +72,9 @@ class OpBreakdownMemo {
   OpBreakdownMemo& operator=(const OpBreakdownMemo&) = delete;
 
   // Returns the published breakdown for `key`, or nullptr on a miss. The
-  // pointer is stable until Clear() or destruction. Lock-free: one relaxed
-  // counter bump plus an acquire probe. A disabled memo always returns
+  // pointer is stable until Clear() or destruction. Lock-free: an acquire
+  // probe plus one relaxed bump of the calling thread's counter stripe, so
+  // concurrent hits write no shared line. A disabled memo always returns
   // nullptr without counting.
   const OpBreakdown* Lookup(uint64_t key) const;
 
@@ -105,13 +108,16 @@ class OpBreakdownMemo {
   // worst-case lookups O(1) even under adversarial key clustering.
   static constexpr size_t kMaxProbe = 64;
 
+  enum Counter : size_t { kHits, kMisses, kInsertsDropped, kNumCounters };
+
+  // Read on every lookup; never written after construction (bar setup-time
+  // toggles), so the counters below sit on other cache lines.
   bool enabled_ = true;
   size_t mask_ = 0;
   std::vector<std::atomic<const Entry*>> slots_;
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> inserts_dropped_{0};
-  std::atomic<int64_t> entries_{0};
+  StripedCounters<kNumCounters> counters_;
+  // Written on every successful insert (the miss path): its own line.
+  alignas(kCacheLineBytes) std::atomic<int64_t> entries_{0};
 };
 
 }  // namespace aceso

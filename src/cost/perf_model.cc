@@ -39,6 +39,48 @@ Layout AdvanceLayout(const Operator& op, const OpParallel& setting,
   return layout;
 }
 
+// The memory fields of one op's breakdown (stored activation, parameters,
+// optimizer state, working set), given the activation layout *after* the
+// op: integer arithmetic on the op and its setting, no profile lookup. The
+// walk (ComputeOpBreakdown) and the walk-free PerformanceModel::StageMemory
+// both call it, so the two cannot drift apart.
+inline void FillOpMemory(const Operator& op, const OpParallel& setting,
+                         Precision precision, int mbs, Layout out_layout,
+                         OpBreakdown& out) {
+  const int64_t local_batch = DivideBytes(mbs, setting.dp);
+  const int64_t output = DivideBytes(op.out_bytes * local_batch,
+                                     out_layout.sharded ? out_layout.tp : 1);
+  out.stored_bytes = setting.recompute ? 0 : output;
+  out.param_bytes = op.tp_class == TpClass::kPartitioned && setting.tp > 1
+                        ? DivideBytes(op.param_bytes, setting.tp)
+                        : op.param_bytes;
+  out.transient_bytes = DivideBytes(op.work_bytes * local_batch,
+                                    EffectiveShards(op, setting.tp));
+  out.workspace_bytes = out.transient_bytes + output;
+
+  // --- optimizer state (grads + Adam moments + master weights) ---
+  const double opt_mult = OptimizerMultiplier(precision);
+  out.optimizer_bytes =
+      static_cast<int64_t>(static_cast<double>(out.param_bytes) * opt_mult);
+  if (setting.zero_opt && setting.dp > 1) {
+    // ZeRO-style sharding: gradients stay full (they feed the all-reduce)
+    // but optimizer state divides across the dp group.
+    const int64_t grads = out.param_bytes;
+    out.optimizer_bytes = grads + (out.optimizer_bytes - grads) / setting.dp;
+  }
+}
+
+// Adds one op's memory fields to its stage's cost: the integer half of the
+// stage aggregation, shared by every path that builds a StageCost.
+inline void AddOpMemory(const OpBreakdown& op, StageCost& cost) {
+  if (op.stored_bytes > 0) {
+    cost.activation_bytes_per_mb += RoundUpAllocSize(op.stored_bytes);
+  }
+  cost.param_bytes += op.param_bytes;
+  cost.optimizer_bytes += op.optimizer_bytes;
+  cost.reserved_bytes = std::max(cost.reserved_bytes, op.workspace_bytes);
+}
+
 // One op's cost decomposition given its walk-carried context: the incoming
 // activation layout and whether the previous op ran at a different dp
 // degree. This is the single derivation both the direct walk (WalkStage)
@@ -110,34 +152,11 @@ OpBreakdown ComputeOpBreakdown(ProfileDatabase& db, const ClusterSpec& cluster,
   out.bwd_comm += reshard;
 
   // --- memory (keyed by the layout *after* this op) ---
-  layout = AdvanceLayout(op, setting, layout);
-  const int store_shards = layout.sharded ? layout.tp : 1;
-  out.stored_bytes =
-      setting.recompute
-          ? 0
-          : op.out_bytes * static_cast<int64_t>(local_batch) / store_shards;
-  out.param_bytes = op.tp_class == TpClass::kPartitioned && setting.tp > 1
-                        ? op.param_bytes / setting.tp
-                        : op.param_bytes;
-  out.transient_bytes =
-      op.work_bytes * static_cast<int64_t>(local_batch) / shards;
-  out.workspace_bytes =
-      out.transient_bytes +
-      op.out_bytes * static_cast<int64_t>(local_batch) / store_shards;
-
-  // --- optimizer state (grads + Adam moments + master weights) ---
-  const double opt_mult = OptimizerMultiplier(precision);
-  out.optimizer_bytes =
-      static_cast<int64_t>(static_cast<double>(out.param_bytes) * opt_mult);
-  const bool zero = setting.zero_opt && setting.dp > 1;
-  if (zero) {
-    // ZeRO-style sharding: gradients stay full (they feed the all-reduce)
-    // but optimizer state divides across the dp group.
-    const int64_t grads = out.param_bytes;
-    out.optimizer_bytes = grads + (out.optimizer_bytes - grads) / setting.dp;
-  }
+  FillOpMemory(op, setting, precision, mbs, AdvanceLayout(op, setting, layout),
+               out);
 
   // --- data-parallel gradient synchronization (per iteration) ---
+  const bool zero = setting.zero_opt && setting.dp > 1;
   if (setting.dp > 1 && out.param_bytes > 0) {
     const CommDomain dp_domain{
         setting.dp,
@@ -264,12 +283,7 @@ StageCost AggregateStageCost(const StageWalk& walk) {
       cost.recompute_time += op.fwd_kernel;
     }
     cost.dp_sync_time += op.dp_sync;
-    if (op.stored_bytes > 0) {
-      cost.activation_bytes_per_mb += RoundUpAllocSize(op.stored_bytes);
-    }
-    cost.param_bytes += op.param_bytes;
-    cost.optimizer_bytes += op.optimizer_bytes;
-    cost.reserved_bytes = std::max(cost.reserved_bytes, op.workspace_bytes);
+    AddOpMemory(op, cost);
   }
   cost.fwd_time += walk.p2p_fwd;
   cost.bwd_time += walk.p2p_bwd;
@@ -490,12 +504,7 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
       cost.recompute_time += op.fwd_kernel;
     }
     cost.dp_sync_time += op.dp_sync;
-    if (op.stored_bytes > 0) {
-      cost.activation_bytes_per_mb += RoundUpAllocSize(op.stored_bytes);
-    }
-    cost.param_bytes += op.param_bytes;
-    cost.optimizer_bytes += op.optimizer_bytes;
-    cost.reserved_bytes = std::max(cost.reserved_bytes, op.workspace_bytes);
+    AddOpMemory(op, cost);
   };
 
   // One materialized op of a repeating period: the per-op inner sums
@@ -521,10 +530,7 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
     }
     block.clear();
     block.reserve(static_cast<size_t>(run.period));
-    int64_t act_sum = 0;
-    int64_t param_sum = 0;
-    int64_t opt_sum = 0;
-    int64_t max_workspace = 0;
+    StageCost period_memory;  // the period's integer fields, added reps times
     for (int j = 0; j < run.period; ++j) {
       const OpBreakdown& op = *breakdown_at(run.start + j, scratch);
       RunOp run_op;
@@ -536,12 +542,7 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
       run_op.dp_sync = op.dp_sync;
       run_op.recompute = op.recompute;
       block.push_back(run_op);
-      if (op.stored_bytes > 0) {
-        act_sum += RoundUpAllocSize(op.stored_bytes);
-      }
-      param_sum += op.param_bytes;
-      opt_sum += op.optimizer_bytes;
-      max_workspace = std::max(max_workspace, op.workspace_bytes);
+      AddOpMemory(op, period_memory);
     }
     for (int r = 0; r < run.reps; ++r) {
       for (const RunOp& op : block) {
@@ -556,10 +557,12 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
         cost.dp_sync_time += op.dp_sync;
       }
     }
-    cost.activation_bytes_per_mb += act_sum * run.reps;
-    cost.param_bytes += param_sum * run.reps;
-    cost.optimizer_bytes += opt_sum * run.reps;
-    cost.reserved_bytes = std::max(cost.reserved_bytes, max_workspace);
+    cost.activation_bytes_per_mb +=
+        period_memory.activation_bytes_per_mb * run.reps;
+    cost.param_bytes += period_memory.param_bytes * run.reps;
+    cost.optimizer_bytes += period_memory.optimizer_bytes * run.reps;
+    cost.reserved_bytes =
+        std::max(cost.reserved_bytes, period_memory.reserved_bytes);
   }
 
   // Inter-stage p2p, mirroring the WalkStage tail + AggregateStageCost.
@@ -583,6 +586,30 @@ int64_t StageMemoryBytes(const StageCost& cost, int num_stages,
          cost.activation_bytes_per_mb * in_flight + cost.reserved_bytes;
 }
 
+int64_t PerformanceModel::StageMemory(const ParallelConfig& config,
+                                      int stage_index) const {
+  const StageConfig& stage = config.stage(stage_index);
+  const int mbs = config.microbatch_size();
+  const Precision precision = graph_->precision();
+  // The integer fields of ComputeStageCost, in walk order. Integer sums and
+  // maxima do not depend on grouping, so this equals the run-compressed
+  // aggregation as well as the direct one.
+  const Operator* ops = &graph_->op(stage.first_op);
+  StageCost cost;
+  cost.activation_bytes_per_mb = RoundUpAllocSize(
+      ops[0].in_bytes * static_cast<int64_t>(mbs / stage.ops[0].dp));
+  Layout layout;  // activations enter a stage replicated
+  OpBreakdown op_memory;
+  for (int i = 0; i < stage.num_ops; ++i) {
+    const Operator& op = ops[i];
+    const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+    layout = AdvanceLayout(op, setting, layout);
+    FillOpMemory(op, setting, precision, mbs, layout, op_memory);
+    AddOpMemory(op_memory, cost);
+  }
+  return StageMemoryBytes(cost, config.num_stages(), stage_index);
+}
+
 std::shared_ptr<const StageCost> PerformanceModel::ResolveStageCost(
     const ParallelConfig& config, int stage_index) const {
   if (!stage_cache_.enabled()) {
@@ -603,7 +630,7 @@ std::shared_ptr<const StageCost> PerformanceModel::ResolveStageCost(
 }
 
 PerfResult PerformanceModel::Evaluate(const ParallelConfig& config) const {
-  eval_count_.fetch_add(1, std::memory_order_relaxed);
+  eval_count_.Add(0);
 
   const int p = config.num_stages();
   const int64_t num_microbatches = config.NumMicrobatches(*graph_);

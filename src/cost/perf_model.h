@@ -21,10 +21,10 @@
 #ifndef SRC_COST_PERF_MODEL_H_
 #define SRC_COST_PERF_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 
+#include "src/common/striped_counters.h"
 #include "src/config/parallel_config.h"
 #include "src/cost/op_memo.h"
 #include "src/cost/resource_usage.h"
@@ -108,7 +108,7 @@ StageCost AggregateStageCost(const StageWalk& walk);
 // 1F1B pipeline — parameters, optimizer state, one activation set per
 // in-flight microbatch (num_stages - stage_index of them), and the reserved
 // working set. The one formula behind every StageUsage::memory_bytes and
-// the recompute fix-up's fit test.
+// PerformanceModel::StageMemory, the recompute fix-up's fit test.
 int64_t StageMemoryBytes(const StageCost& cost, int num_stages,
                          int stage_index);
 
@@ -153,19 +153,22 @@ class PerformanceModel {
   // Stage `stage_index`'s cost exactly as Evaluate() resolves it: served
   // from the stage-cost cache (keyed by StageSemanticHash) when enabled,
   // computed by ComputeStageCost() and inserted on a miss. This is the one
-  // stage-cache probe; it does not count as an evaluation, so a caller that
-  // needs one stage (FixRecompute) pays for one stage, not the config.
+  // stage-cache probe; it does not count as an evaluation.
   std::shared_ptr<const StageCost> ResolveStageCost(
       const ParallelConfig& config, int stage_index) const;
 
+  // Stage `stage_index`'s Eq. 1 memory, equal bit for bit to
+  // StageMemoryBytes(*ResolveStageCost(config, stage_index), ...) but from
+  // an integer-only pass over the stage's ops: no profile lookup, no
+  // op-memo or stage-cache probe, no allocation. The recompute fix-up's fit
+  // test (FixRecompute) reads this.
+  int64_t StageMemory(const ParallelConfig& config, int stage_index) const;
+
   // Number of Evaluate() calls so far — the "explored configurations"
-  // metric of Exp#4.
-  int64_t NumEvaluations() const {
-    return eval_count_.load(std::memory_order_relaxed);
-  }
-  void ResetEvaluationCount() {
-    eval_count_.store(0, std::memory_order_relaxed);
-  }
+  // metric of Exp#4. Each thread counts in its own stripe; the sum is exact.
+  int64_t NumEvaluations() const { return eval_count_.Sum(0); }
+  // Setup-time: not synchronized against concurrent Evaluate().
+  void ResetEvaluationCount() { eval_count_.Reset(0); }
 
   const OpGraph& graph() const { return *graph_; }
   const ClusterSpec& cluster() const { return cluster_; }
@@ -200,7 +203,7 @@ class PerformanceModel {
   InterconnectModel interconnect_;
   ProfileDatabase* db_;
   bool run_compression_ = true;
-  mutable std::atomic<int64_t> eval_count_{0};
+  StripedCounters<1> eval_count_;
   mutable StageCostCache stage_cache_;
   mutable OpBreakdownMemo op_memo_;
 };

@@ -41,11 +41,11 @@ std::shared_ptr<const StageCost> StageCostCache::Lookup(uint64_t key) const {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kHits);
       return it->second;
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kMisses);
   return nullptr;
 }
 
@@ -71,7 +71,7 @@ void StageCostCache::Insert(uint64_t key,
     }
   }
   if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
+    counters_.Add(kEvictions, evicted);
   }
 }
 
@@ -85,9 +85,9 @@ void StageCostCache::Clear() {
 
 StageCacheStats StageCostCache::stats() const {
   StageCacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
+  s.hits = counters_.Sum(kHits);
+  s.misses = counters_.Sum(kMisses);
+  s.evictions = counters_.Sum(kEvictions);
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     s.entries += static_cast<int64_t>(shard->entries.size());

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/striped_counters.h"
 
 namespace aceso {
 
@@ -78,7 +79,8 @@ class StageCostCache {
   StageCostCache& operator=(const StageCostCache&) = delete;
 
   // Returns the cached cost for `key`, or nullptr on miss. Counts one hit
-  // or one miss. On a disabled cache, returns nullptr without counting.
+  // or one miss in the calling thread's counter stripe. On a disabled
+  // cache, returns nullptr without counting.
   std::shared_ptr<const StageCost> Lookup(uint64_t key) const;
 
   // Stores `cost` under `key`, evicting the shard's oldest entry when full.
@@ -112,14 +114,15 @@ class StageCostCache {
     return *shards_[static_cast<size_t>(key >> 48) & shard_mask_];
   }
 
+  enum Counter : size_t { kHits, kMisses, kEvictions, kNumCounters };
+
+  // Read-mostly; the striped counters below never share their lines.
   StageCacheOptions options_;
   size_t shard_mask_ = 0;
   size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  mutable std::atomic<int64_t> hits_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  std::atomic<int64_t> evictions_{0};
+  StripedCounters<kNumCounters> counters_;
 };
 
 }  // namespace aceso

@@ -334,7 +334,7 @@ std::unique_lock<std::mutex> ProfileDatabase::LockShard(
     const Shard& shard) const {
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
-    lock_contended_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add(kLockContended);
     lock.lock();
   }
   return lock;
@@ -348,7 +348,7 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, Precision precision,
   key.local_batch = local_batch;
   key.precision = static_cast<int>(precision);
   const uint64_t hash = key.Hash();
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kLookups);
 
   // Lock-free hit path: thread-local L1, then the published snapshot.
   // Published values are immutable, so these return the exact bits the
@@ -358,12 +358,12 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, Precision precision,
   L1OpEntry& l1 = L1OpSlot(hash);
   if (read_opt) {
     if (l1.gen == gen && l1.key == hash) {
-      l1_hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kL1Hits);
       return l1.value;
     }
     if (const Snapshot* snap = snapshot_.load(std::memory_order_acquire)) {
       if (const OpMeasurement* found = snap->FindOp(hash)) {
-        snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add(kSnapshotHits);
         l1 = L1OpEntry{gen, hash, *found};
         return *found;
       }
@@ -387,7 +387,7 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, Precision precision,
   // `runs_` simulated runs and is the expensive part — holding the lock
   // here would convoy every concurrent lookup of this shard behind it),
   // then double-check: emplace ignores our value if another filler beat us.
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kMisses);
   const OpMeasurement m = profiler_.MeasureOp(op, key);
   OpMeasurement published;
   bool fresh = false;
@@ -413,19 +413,19 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, Precision precision,
 
 double ProfileDatabase::CollectiveBucketTime(const CommProfileKey& key) {
   const uint64_t hash = key.Hash();
-  lookups_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kLookups);
 
   const bool read_opt = read_opt_enabled_.load(std::memory_order_relaxed);
   const uint64_t gen = generation_.load(std::memory_order_relaxed);
   L1CommEntry& l1 = L1CommSlot(hash);
   if (read_opt) {
     if (l1.gen == gen && l1.key == hash) {
-      l1_hits_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add(kL1Hits);
       return l1.value;
     }
     if (const Snapshot* snap = snapshot_.load(std::memory_order_acquire)) {
       if (const double* found = snap->FindComm(hash)) {
-        snapshot_hits_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add(kSnapshotHits);
         l1 = L1CommEntry{gen, hash, *found};
         return *found;
       }
@@ -446,7 +446,7 @@ double ProfileDatabase::CollectiveBucketTime(const CommProfileKey& key) {
     }
   }
   // Same unlocked-measure + first-writer-wins insert as OpTime.
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kMisses);
   const double t = profiler_.MeasureCollective(key);
   double published = 0.0;
   bool fresh = false;
@@ -512,11 +512,11 @@ double ProfileDatabase::SimulatedProfilingSeconds() const {
 
 ProfileDbStats ProfileDatabase::stats() const {
   ProfileDbStats s;
-  s.lookups = lookups_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.lock_contended = lock_contended_.load(std::memory_order_relaxed);
-  s.l1_hits = l1_hits_.load(std::memory_order_relaxed);
-  s.snapshot_hits = snapshot_hits_.load(std::memory_order_relaxed);
+  s.lookups = counters_.Sum(kLookups);
+  s.misses = counters_.Sum(kMisses);
+  s.lock_contended = counters_.Sum(kLockContended);
+  s.l1_hits = counters_.Sum(kL1Hits);
+  s.snapshot_hits = counters_.Sum(kSnapshotHits);
   s.republishes = republishes_.load(std::memory_order_relaxed);
   return s;
 }

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/striped_counters.h"
 #include "src/hw/cluster.h"
 #include "src/hw/gpu_spec.h"
 #include "src/hw/interconnect.h"
@@ -262,23 +263,32 @@ class ProfileDatabase {
   ClusterSpec cluster_;
   SimulatedProfiler profiler_;
 
-  mutable std::array<Shard, kNumShards> shards_;
-  mutable std::atomic<int64_t> lookups_{0};
-  mutable std::atomic<int64_t> misses_{0};
-  mutable std::atomic<int64_t> lock_contended_{0};
-  mutable std::atomic<int64_t> l1_hits_{0};
-  mutable std::atomic<int64_t> snapshot_hits_{0};
-  std::atomic<int64_t> republishes_{0};
+  enum Counter : size_t {
+    kLookups,
+    kMisses,
+    kLockContended,
+    kL1Hits,
+    kSnapshotHits,
+    kNumCounters
+  };
 
-  std::atomic<bool> read_opt_enabled_{true};
+  mutable std::array<Shard, kNumShards> shards_;
+  // Bumped by every lookup, each thread in its own stripe.
+  StripedCounters<kNumCounters> counters_;
+
+  // Read by every lookup and written only at setup or Load: a line of its
+  // own, apart from the shard locks and the miss-path fields below.
+  alignas(kCacheLineBytes) std::atomic<bool> read_opt_enabled_{true};
   // Instance tag for thread-local L1 entries: drawn from a process-global
   // counter at construction and re-drawn by Load() (which may overwrite
   // published values), so stale L1 entries from another instance — or from
   // this instance pre-Load — can never match.
   std::atomic<uint64_t> generation_;
   std::atomic<const Snapshot*> snapshot_{nullptr};
-  std::atomic<size_t> total_entries_{0};     // across all shards
+  // Written on the miss path only.
+  alignas(kCacheLineBytes) std::atomic<size_t> total_entries_{0};
   std::atomic<size_t> snapshot_entries_{0};  // entry count at last publish
+  std::atomic<int64_t> republishes_{0};
   // Guards snapshot rebuilds and `retired_`. Never taken on the read path.
   mutable std::mutex republish_mu_;
   // Replaced snapshots, freed at destruction: readers may hold a snapshot

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/ir/models/model_zoo.h"
 
 namespace aceso {
@@ -249,6 +252,39 @@ TEST_F(CandidateTest, DecRcUnflagsOps) {
     }
   }
   EXPECT_TRUE(some_released);
+}
+
+TEST_F(CandidateTest, DescriptionsArePinned) {
+  // Descriptions are concatenated without streams; the bytes are the ones
+  // the stream-formatted descriptions had, multi-digit counts and device
+  // migrations included.
+  const ParallelConfig config = Even(3, 4);
+  std::vector<std::string> got;
+  for (int kind = 0; kind < kNumPrimitives; ++kind) {
+    for (const Candidate& c :
+         Generate(config, static_cast<PrimitiveKind>(kind), 1)) {
+      got.push_back(c.description);
+    }
+  }
+  const std::vector<std::string> want = {
+      "inc-op#(s1) 1ops <- s0",
+      "inc-op#(s1) 1ops <- s2",
+      "dec-op#(s1) 1ops -> s0",
+      "dec-op#(s1) 16ops -> s0",
+      "dec-op#(s1) 30ops -> s0",
+      "dec-op#(s1) 1op -> s2",
+      "inc-mbs(s1) mbs=8",
+      "dec-mbs(s1) mbs=2",
+      "inc-dp(s1) swap tp->dp",
+      "inc-dp(s1) +2gpu from s0 partner dec-tp",
+      "inc-dp(s1) +2gpu from s0 partner dec-dp",
+      "inc-tp(s1) +2gpu from s0 partner dec-tp",
+      "inc-tp(s1) +2gpu from s0 partner dec-dp",
+      "dec-tp(s1) swap tp->dp",
+      "inc-rc(s1) +1op",
+      "dec-rc(s1) relax",
+  };
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(CandidateTest, SingleStageHasNoOpMoves) {

@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "src/aceso.h"
+#include "src/ir/models/model_zoo.h"
 #include "src/ir/models/synthetic.h"
 
 namespace aceso {
@@ -465,16 +468,16 @@ int64_t ReferenceStoredBytes(const Operator& op, const OpParallel& setting,
   return op.out_bytes * static_cast<int64_t>(mbs / setting.dp) / shards;
 }
 
-void ReferenceFixRecompute(const PerformanceModel& model,
-                           ParallelConfig& config, int stage_index) {
-  const PerfResult perf = model.Evaluate(config);
+// The greedy passes of the reference fix-up, given the stage's Eq. 1
+// memory: full sorts of every candidate op, as the fix-up once did.
+void ReferenceGreedyFix(const PerformanceModel& model, ParallelConfig& config,
+                        int stage_index, int64_t memory) {
   const int64_t limit = model.cluster().gpu.memory_bytes;
-  const StageUsage& usage = perf.stages[static_cast<size_t>(stage_index)];
   StageConfig& stage = config.MutableStage(stage_index);
   const int64_t in_flight = std::max(1, config.num_stages() - stage_index);
   const int mbs = config.microbatch_size();
-  if (usage.memory_bytes > limit) {
-    int64_t need = usage.memory_bytes - limit;
+  if (memory > limit) {
+    int64_t need = memory - limit;
     std::vector<std::pair<int64_t, int>> by_size;
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
@@ -496,7 +499,7 @@ void ReferenceFixRecompute(const PerformanceModel& model,
       need -= stored * in_flight;
     }
   } else {
-    int64_t slack = limit - usage.memory_bytes;
+    int64_t slack = limit - memory;
     std::vector<std::pair<double, int>> by_cost;
     for (int i = 0; i < stage.num_ops; ++i) {
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
@@ -521,6 +524,23 @@ void ReferenceFixRecompute(const PerformanceModel& model,
       }
     }
   }
+}
+
+void ReferenceFixRecompute(const PerformanceModel& model,
+                           ParallelConfig& config, int stage_index) {
+  const PerfResult perf = model.Evaluate(config);
+  const StageUsage& usage = perf.stages[static_cast<size_t>(stage_index)];
+  ReferenceGreedyFix(model, config, stage_index, usage.memory_bytes);
+}
+
+// The fix-up as it was before it went walk-free: the stage's memory from
+// its resolved stage cost (a walk on a stage-cache miss), then full sorts.
+void WalkAndSortFixRecompute(const PerformanceModel& model,
+                             ParallelConfig& config, int stage_index) {
+  ReferenceGreedyFix(
+      model, config, stage_index,
+      StageMemoryBytes(*model.ResolveStageCost(config, stage_index),
+                       config.num_stages(), stage_index));
 }
 
 TEST_P(FuzzTest, FixRecomputeMatchesEvaluateBasedReference) {
@@ -560,6 +580,168 @@ TEST_P(FuzzTest, FixRecomputeMatchesEvaluateBasedReference) {
     }
     MutateRandomly(graph, config, rng_);
   }
+}
+
+// ----- Walk-free recompute fix-up -----
+
+// A zoo model chosen by the seed: decoder, CNN, encoder-decoder and deep
+// stacks mix tp classes, work buffers and parameter sizes differently.
+OpGraph ZooModelForSeed(int seed) {
+  switch (seed % 4) {
+    case 0:
+      return models::Gpt3(0.35);
+    case 1:
+      return models::WideResnet(0.5);
+    case 2:
+      return models::T5(0.77);
+    default:
+      return models::DeepTransformer(12);
+  }
+}
+
+// An even zoo config with random recompute (probability `recompute_p`),
+// ZeRO and tp-dim flags on every op, then a few random mutations (tp/dp
+// retargets, microbatch changes). Fails only when the even config cannot
+// be built.
+StatusOr<ParallelConfig> ScrambledZooConfig(const OpGraph& graph,
+                                            const ClusterSpec& cluster,
+                                            double recompute_p, Rng& rng) {
+  auto made = MakeEvenConfig(graph, cluster, 1 << rng.NextInt(0, 2),
+                             1 << rng.NextInt(0, 3));
+  if (!made.ok()) {
+    return made.status();
+  }
+  ParallelConfig config = *std::move(made);
+  for (int s = 0; s < config.num_stages(); ++s) {
+    for (OpParallel& setting : config.MutableStage(s).ops) {
+      setting.recompute = rng.NextBool(recompute_p);
+      setting.zero_opt = rng.NextBool(0.3);
+      if (rng.NextBool(0.2)) {
+        setting.tp_dim =
+            setting.tp_dim == TpDim::kColumn ? TpDim::kRow : TpDim::kColumn;
+      }
+    }
+  }
+  for (int m = rng.NextInt(0, 3); m > 0; --m) {
+    MutateRandomly(graph, config, rng);
+  }
+  return config;
+}
+
+TEST_P(FuzzTest, WalkFreeStageMemoryMatchesResolvedStageCost) {
+  // PerformanceModel::StageMemory (integer-only, no walk) against the Eq. 1
+  // memory of the stage cost Evaluate() resolves, bit for bit, with the
+  // stage cache on and off and run compression on and off.
+  const OpGraph graph = ZooModelForSeed(GetParam());
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  std::vector<std::unique_ptr<PerformanceModel>> models;
+  for (int mode = 0; mode < 4; ++mode) {
+    models.push_back(std::make_unique<PerformanceModel>(&graph, cluster, &db));
+    models.back()->set_stage_cache_enabled((mode & 1) != 0);
+    models.back()->set_run_compression_enabled((mode & 2) != 0);
+  }
+  int checked = 0;
+  for (int round = 0; round < 10; ++round) {
+    auto config = ScrambledZooConfig(graph, cluster, 0.3, rng_);
+    if (!config.ok()) {
+      continue;
+    }
+    const int p = config->num_stages();
+    for (int s = 0; s < p; ++s) {
+      for (const auto& model : models) {
+        ASSERT_EQ(model->StageMemory(*config, s),
+                  StageMemoryBytes(*model->ResolveStageCost(*config, s), p, s))
+            << graph.name() << " stage " << s << " round " << round;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// Device capacities that send FixRecompute down every branch edge for
+// stage `s`: over memory by exactly the fattest activation (one op flips,
+// the higher index of a tie), by one byte more (its tie partner flips
+// too), by a quarter and by all of it (many ops flip); no slack at all;
+// and release slack equal to, one byte under, and one byte over what
+// releasing single recompute ops adds back.
+std::vector<int64_t> FixLimits(const PerformanceModel& model,
+                               const ParallelConfig& config, int s) {
+  const int64_t memory = StageMemoryBytes(*model.ResolveStageCost(config, s),
+                                          config.num_stages(), s);
+  const int64_t in_flight = std::max(1, config.num_stages() - s);
+  const StageConfig& stage = config.stage(s);
+  int64_t fattest = 0;
+  std::vector<int64_t> released;
+  for (int i = 0; i < stage.num_ops; ++i) {
+    const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+    const int64_t bytes =
+        ReferenceStoredBytes(model.graph().op(stage.first_op + i), setting,
+                             config.microbatch_size()) *
+        in_flight;
+    if (setting.recompute) {
+      released.push_back(bytes);
+    } else {
+      fattest = std::max(fattest, bytes);
+    }
+  }
+  std::vector<int64_t> limits = {memory - fattest, memory - fattest - 1,
+                                 memory - memory / 4, 1, memory};
+  std::sort(released.begin(), released.end());
+  for (size_t k = 0; k < released.size(); k += 1 + released.size() / 4) {
+    for (int64_t delta : {-1, 0, 1}) {
+      limits.push_back(memory + released[k] + delta);
+    }
+  }
+  return limits;
+}
+
+TEST_P(FuzzTest, FixRecomputeMatchesWalkAndSortReference) {
+  // The walk-free, sort-free fix-up against a copy of the walk-and-sort
+  // one, at capacities planted on the edges of both greedy passes. A fix
+  // never probes the stage-cost cache.
+  const OpGraph graph = ZooModelForSeed(GetParam());
+  const ClusterSpec base = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(base, /*seed=*/GetParam());
+  const PerformanceModel probe(&graph, base, &db);
+  OpMemoOptions small_memo;
+  small_memo.capacity = 1 << 10;
+  int checked = 0;
+  for (int round = 0; round < 6; ++round) {
+    // Odd rounds recompute nearly everything: the release pass's turn.
+    const double recompute_p = round % 2 == 0 ? 0.2 : 0.9;
+    auto config = ScrambledZooConfig(graph, base, recompute_p, rng_);
+    if (!config.ok()) {
+      continue;
+    }
+    for (int s = 0; s < config->num_stages(); ++s) {
+      for (const int64_t limit : FixLimits(probe, *config, s)) {
+        ClusterSpec cluster = base;
+        cluster.gpu.memory_bytes = std::max<int64_t>(1, limit);
+        const PerformanceModel model(&graph, cluster, &db, {}, small_memo);
+        ParallelConfig want = *config;
+        WalkAndSortFixRecompute(model, want, s);
+        ParallelConfig got = *config;
+        const StageCacheStats before = model.stage_cache().stats();
+        FixRecompute(model, got, s);
+        const StageCacheStats after = model.stage_cache().stats();
+        ASSERT_EQ(after.hits, before.hits);
+        ASSERT_EQ(after.misses, before.misses);
+        const StageConfig& got_stage = got.stage(s);
+        const StageConfig& want_stage = want.stage(s);
+        for (int i = 0; i < got_stage.num_ops; ++i) {
+          ASSERT_EQ(got_stage.ops[static_cast<size_t>(i)].recompute,
+                    want_stage.ops[static_cast<size_t>(i)].recompute)
+              << graph.name() << " stage " << s << " op " << i << " limit "
+              << limit << " round " << round;
+        }
+        ASSERT_EQ(got.SemanticHash(graph), want.SemanticHash(graph));
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
 }
 
 // The primitive kinds whose candidates all list their target stage as
