@@ -314,6 +314,108 @@ void BM_FixRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_FixRecompute)->Arg(0)->Arg(1);
 
+// ----- Per-stage passes over a new stage -----
+//
+// The passes every new stage pays before the search can score it (DESIGN.md
+// §12): Validate's per-op checks, the Eq. 1 memory pass the recompute
+// fix-up reads, and the stage-cost walk on a stage-cache miss. Each
+// iteration copies one of two sibling configs and clones the stage, so the
+// pass meets a fresh block (no cached segmentation, words or walk plan), as
+// it does on a new candidate; the copy and clone are part of the time.
+// Arg 0: stage 1 of deepnet-256 on 16 GPUs in 4 stages at tp 2, with
+// recompute on one op (the MLP's first matmul) of every layer — periodic,
+// as searched deep stages are. Arg 1: the same stage with recompute on
+// every 5th op instead, which breaks the layer period at two ops in five.
+// Arg 2: stage 1 of wresnet-2b on 8 GPUs in 4 stages at tp 2.
+struct StagePassFixture {
+  static constexpr int kStage = 1;
+
+  explicit StagePassFixture(int arg)
+      : graph(arg == 2 ? models::WideResnet(2.0)
+                       : models::DeepTransformer(256)),
+        cluster(ClusterSpec::WithGpuCount(arg == 2 ? 8 : 16)),
+        db(cluster),
+        base(*MakeEvenConfig(graph, cluster, 4, 4)) {
+    StageConfig& stage = base.MutableStage(kStage);
+    for (int i = 0; i < stage.num_ops; ++i) {
+      const Operator& op = graph.op(stage.first_op + i);
+      OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      setting.tp = ClampOpTp(op, 2);
+      setting.dp = stage.num_devices / setting.tp;
+      setting.recompute =
+          arg == 1 ? i % 5 == 0 : arg == 0 && op.kind == OpKind::kMlpFc1;
+    }
+    // A sibling that differs in the stage's last op: a tp-dim flip.
+    other = base;
+    OpParallel& last = other.MutableStage(kStage).ops.back();
+    last.tp_dim = last.tp_dim == TpDim::kColumn ? TpDim::kRow : TpDim::kColumn;
+  }
+
+  // Runs `pass(candidate)` once per iteration on a fresh copy of the stage.
+  template <typename Pass>
+  void Run(benchmark::State& state, Pass pass) {
+    if (!base.Validate(graph, cluster).ok() ||
+        !other.Validate(graph, cluster).ok()) {
+      state.SkipWithError("invalid fixture config");
+      return;
+    }
+    const ParallelConfig* bases[] = {&base, &other};
+    int round = 0;
+    for (auto _ : state) {
+      ParallelConfig candidate = *bases[round++ & 1];
+      candidate.MutableStage(kStage);
+      pass(candidate);
+    }
+    state.SetLabel(graph.name() + " stage " + std::to_string(kStage) + ", " +
+                   std::to_string(base.stage(kStage).num_ops) + " ops");
+  }
+
+  OpGraph graph;
+  ClusterSpec cluster;
+  ProfileDatabase db;
+  ParallelConfig base;
+  ParallelConfig other;
+};
+
+void BM_StageMemory(benchmark::State& state) {
+  StagePassFixture f(static_cast<int>(state.range(0)));
+  const PerformanceModel model(&f.graph, f.cluster, &f.db);
+  f.Run(state, [&](const ParallelConfig& candidate) {
+    benchmark::DoNotOptimize(
+        model.StageMemory(candidate, StagePassFixture::kStage));
+  });
+}
+BENCHMARK(BM_StageMemory)->Arg(0)->Arg(1)->Arg(2);
+
+void BM_ValidateStage(benchmark::State& state) {
+  StagePassFixture f(static_cast<int>(state.range(0)));
+  const std::vector<int> touched{StagePassFixture::kStage};
+  f.Run(state, [&](const ParallelConfig& candidate) {
+    benchmark::DoNotOptimize(candidate.Validate(f.graph, f.cluster, &touched));
+  });
+}
+BENCHMARK(BM_ValidateStage)->Arg(0)->Arg(1)->Arg(2);
+
+// A stage-cache miss on a fresh block, as the search pays it for a new
+// candidate: the stage hash, the walk plan, the (warm) op-memo walk and the
+// insert, against a one-entry stage cache the two siblings evict from each
+// other.
+void BM_FreshStageCost(benchmark::State& state) {
+  StagePassFixture f(static_cast<int>(state.range(0)));
+  StageCacheOptions one_entry;
+  one_entry.capacity = 1;
+  one_entry.num_shards = 1;
+  const PerformanceModel model(&f.graph, f.cluster, &f.db, one_entry);
+  for (const ParallelConfig* config : {&f.base, &f.other}) {
+    model.ResolveStageCost(*config, StagePassFixture::kStage);  // warm memo
+  }
+  f.Run(state, [&](const ParallelConfig& candidate) {
+    benchmark::DoNotOptimize(
+        model.ResolveStageCost(candidate, StagePassFixture::kStage));
+  });
+}
+BENCHMARK(BM_FreshStageCost)->Arg(0)->Arg(1)->Arg(2);
+
 // ----- Sibling-group evaluation -----
 //
 // The search scores a group of sibling candidates that all differ from

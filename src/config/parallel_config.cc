@@ -1,22 +1,21 @@
 #include "src/config/parallel_config.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <sstream>
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/config/stage_segments.h"
 
 namespace aceso {
 namespace {
 
+// The largest power of two <= n (n >= 1).
 int FloorPow2(int n) {
-  int p = 1;
-  while (p * 2 <= n) {
-    p *= 2;
-  }
-  return p;
+  return static_cast<int>(std::bit_floor(static_cast<unsigned>(n)));
 }
 
 }  // namespace
@@ -71,6 +70,7 @@ uint64_t PackOpSemanticWord(const Operator& op, const OpParallel& setting) {
 // ----- StageBlock -----
 
 StageBlock::~StageBlock() {
+  delete runs_.load(std::memory_order_acquire);
   delete words_.load(std::memory_order_acquire);
   delete spare_.load(std::memory_order_acquire);
 }
@@ -85,7 +85,32 @@ StageConfig& StageBlock::BeginMutation() {
   if (old != nullptr) {
     delete spare_.exchange(old, std::memory_order_acq_rel);
   }
+  delete runs_.exchange(nullptr, std::memory_order_acq_rel);
   return config_;
+}
+
+StageRunList StageBlock::Runs(const OpGraph& graph) const {
+  const RunCache* cache = runs_.load(std::memory_order_acquire);
+  if (cache == nullptr) {
+    if (!MayHoldRuns(graph, config_)) {
+      return StageRunList(config_.num_ops);
+    }
+    auto* fresh = new RunCache;
+    fresh->graph = &graph;
+    fresh->size = SegmentStage(graph, config_, fresh->runs, kMaxStageRuns);
+    // Publish-once, as for the word cache: a loser reads the winner's.
+    if (runs_.compare_exchange_strong(cache, fresh,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      cache = fresh;
+    } else {
+      delete fresh;
+    }
+  }
+  if (cache->graph != &graph) {
+    return StageRunList(config_.num_ops);
+  }
+  return StageRunList(cache->runs, static_cast<size_t>(cache->size));
 }
 
 void StageBlock::ComputeWords(const OpGraph& graph, const StageConfig& config,
@@ -410,30 +435,39 @@ Status ParallelConfig::Validate(const OpGraph& graph,
                   static_cast<int>(s)) == op_check_stages->end()) {
       continue;
     }
-    for (int i = 0; i < stage.num_ops; ++i) {
-      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      const Operator& op = graph.op(stage.first_op + i);
-      if (!IsPow2(setting.tp) || !IsPow2(setting.dp)) {
-        return InvalidArgument(OpTag(s, op) + ": tp/dp must be powers of two");
-      }
-      if (setting.tp * setting.dp != stage.num_devices) {
-        return InvalidArgument(OpTag(s, op) + ": tp*dp=" +
-                               std::to_string(setting.tp * setting.dp) +
-                               " != stage devices " +
-                               std::to_string(stage.num_devices));
-      }
-      if (op.tp_class == TpClass::kPartitioned &&
-          setting.tp > FloorPow2(std::max(op.max_tp, 1))) {
-        return InvalidArgument(OpTag(s, op) + ": tp " +
-                               std::to_string(setting.tp) +
-                               " exceeds op limit " +
-                               std::to_string(op.max_tp));
-      }
-      if (microbatch_size_ % setting.dp != 0) {
-        return InvalidArgument(OpTag(s, op) + ": dp " +
-                               std::to_string(setting.dp) +
-                               " does not divide microbatch size " +
-                               std::to_string(microbatch_size_));
+    // The checks read only the op and its settings, so an op that repeats
+    // the op one layer period earlier (a replayed block of the stage's
+    // segmentation) passes whenever that op did: only the materialized
+    // blocks are checked, in walk order, so the first violation reported
+    // is the same.
+    for (const StageRun& run : stages_[s]->Runs(graph)) {
+      for (int i = run.start; i < run.start + run.period; ++i) {
+        const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+        const Operator& op = graph.op(stage.first_op + i);
+        if (!IsPow2(setting.tp) || !IsPow2(setting.dp)) {
+          return InvalidArgument(OpTag(s, op) +
+                                 ": tp/dp must be powers of two");
+        }
+        if (setting.tp * setting.dp != stage.num_devices) {
+          return InvalidArgument(OpTag(s, op) + ": tp*dp=" +
+                                 std::to_string(setting.tp * setting.dp) +
+                                 " != stage devices " +
+                                 std::to_string(stage.num_devices));
+        }
+        if (op.tp_class == TpClass::kPartitioned &&
+            setting.tp > FloorPow2(std::max(op.max_tp, 1))) {
+          return InvalidArgument(OpTag(s, op) + ": tp " +
+                                 std::to_string(setting.tp) +
+                                 " exceeds op limit " +
+                                 std::to_string(op.max_tp));
+        }
+        // dp is a power of two here, so the remainder is a mask.
+        if ((microbatch_size_ & (setting.dp - 1)) != 0) {
+          return InvalidArgument(OpTag(s, op) + ": dp " +
+                                 std::to_string(setting.dp) +
+                                 " does not divide microbatch size " +
+                                 std::to_string(microbatch_size_));
+        }
       }
     }
   }
@@ -527,6 +561,12 @@ uint64_t ParallelConfig::StageSemanticHash(const OpGraph& graph,
   // round over two such values can cancel their differences.
   h.Add(Mix64(block.OpWordsDigest(graph)));
   return h.Digest();
+}
+
+StageRunList ParallelConfig::StageRuns(const OpGraph& graph, int stage_index,
+                                       bool compress) const {
+  const StageBlock& block = *stages_.at(static_cast<size_t>(stage_index));
+  return compress ? block.Runs(graph) : StageRunList(block.config().num_ops);
 }
 
 const StageAnnotation* ParallelConfig::StageWordAnnotation(

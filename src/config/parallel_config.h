@@ -83,6 +83,46 @@ struct StageConfig {
 // so no two consumers can ever disagree about what a setting means.
 uint64_t PackOpSemanticWord(const Operator& op, const OpParallel& setting);
 
+// One block of a stage's periodic segmentation (DESIGN.md §12;
+// SegmentStage in src/config/stage_segments.h): ops [start, start +
+// period), walked once and counted `reps` times. With reps >= 2, ops
+// [start + period, end()) repeat the block op for op — operator, settings
+// and the walk state entering each op (activation layout, dp-reshard bit) —
+// so whatever a pass derives for op start + j holds for every op start + j +
+// r * period. reps == 1 is a plain stretch of ops.
+struct StageRun {
+  int start = 0;
+  int period = 0;
+  int reps = 1;
+
+  int end() const { return start + period * reps; }
+};
+
+// The most blocks a stage's segmentation holds; past the last one the rest
+// of the stage is walked as one plain block.
+inline constexpr int kMaxStageRuns = 16;
+
+// The blocks a per-op pass iterates over one stage, in walk order: a view
+// of the stage block's cached segmentation, or the whole stage as one plain
+// block. Cheap to copy; valid until the stage is mutated.
+class StageRunList {
+ public:
+  // The whole stage of `num_ops` ops as one plain block.
+  explicit StageRunList(int num_ops) : whole_{0, num_ops, 1} {}
+  StageRunList(const StageRun* runs, size_t size)
+      : runs_(runs), size_(size) {}
+
+  const StageRun* begin() const { return runs_ != nullptr ? runs_ : &whole_; }
+  const StageRun* end() const {
+    return runs_ != nullptr ? runs_ + size_ : &whole_ + 1;
+  }
+
+ private:
+  const StageRun* runs_ = nullptr;
+  size_t size_ = 0;
+  StageRun whole_;
+};
+
 // Opaque payload a higher layer attaches to a stage's word cache — in
 // practice the cost model's walk plan (DESIGN.md §12): per-op data derived
 // purely from (graph, stage settings), exactly what the word cache already
@@ -134,6 +174,12 @@ class StageBlock {
   // graph, so this is the correctness path, not the fast path.
   const std::vector<uint64_t>* OpWords(const OpGraph& graph) const;
 
+  // This stage's periodic segmentation for `graph` (SegmentStage),
+  // computed on first use and cached until the block is mutated; the whole
+  // stage as one plain block when it cannot hold a run or a segmentation
+  // for a different graph is already published.
+  StageRunList Runs(const OpGraph& graph) const;
+
   // The annotation attached to this block's word cache for `graph`, or
   // nullptr when no words (or words for a different graph) are published.
   const StageAnnotation* Annotation(const OpGraph& graph) const;
@@ -163,8 +209,16 @@ class StageBlock {
   // first use; nullptr when a cache for a different graph is published.
   const WordCache* Cache(const OpGraph& graph) const;
 
+  struct RunCache {
+    const OpGraph* graph = nullptr;
+    int size = 0;
+    StageRun runs[kMaxStageRuns];
+  };
+
   StageConfig config_;
   mutable std::atomic<const WordCache*> words_{nullptr};
+  // Publish-once like `words_`, dropped by BeginMutation.
+  mutable std::atomic<const RunCache*> runs_{nullptr};
   // Invalidated cache parked by BeginMutation() for buffer reuse: the next
   // recompute refills it instead of allocating. Stolen with an atomic
   // exchange, so concurrent post-mutation readers race safely (losers
@@ -307,6 +361,12 @@ class ParallelConfig {
   // StageBlock::OpWords); callers then pack words themselves.
   const std::vector<uint64_t>* StageOpWords(const OpGraph& graph,
                                             int stage_index) const;
+
+  // The blocks a per-op pass over stage `stage_index` walks: the stage
+  // block's cached segmentation (StageBlock::Runs) with `compress`, the
+  // whole stage as one plain block without.
+  StageRunList StageRuns(const OpGraph& graph, int stage_index,
+                         bool compress = true) const;
 
   // Pass-throughs to StageBlock::Annotation / PublishAnnotation for stage
   // `stage_index` (see StageAnnotation): derived-data cache slot whose

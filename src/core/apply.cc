@@ -7,6 +7,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
+#include "src/config/stage_segments.h"
 
 namespace aceso {
 namespace {
@@ -59,65 +60,101 @@ void RederiveStage(const OpGraph& graph, StageConfig& stage, int target_tp) {
   }
 }
 
-// The greedy "enable the largest first until the stage fits" pass, without
-// sorting: calls `flip(index)` for exactly the pairs that visiting `pairs`
-// in descending (bytes, index) order would, where each visit first stops
-// once `need <= 0` and then subtracts bytes * in_flight from `need`. A
-// quickselect on the running byte total: each round partitions the
-// undecided range around a pivot and either settles everything above it
-// (their total does not cover `need`) or drops everything below it.
-// Expected O(n); the flip order differs, the flipped set does not.
+// One op of a stage's segmentation and its repetitions: ops index +
+// r * stride for r < count share every input of the fix-up's rankings
+// (operator, settings), so one of them is scanned and profiled for all.
+struct OpGroup {
+  int index = 0;
+  int count = 1;
+  int stride = 0;
+  int64_t bytes = 0;  // per member: stored (add pass), added back (release)
+  double cost = 0.0;  // per member: recompute time (release pass)
+};
+
+using GroupIt = std::vector<OpGroup>::const_iterator;
+
+// Calls visit(index, group) for the members of groups [first, last), which
+// are sorted by descending index, by descending index until it returns
+// false. Groups of one run (equal count and stride, indices within one
+// stride) interleave regularly, repetition by repetition; others are merged
+// by a sort.
+template <typename Visit>
+void ForEachMemberByIndexDesc(GroupIt first, GroupIt last, Visit visit) {
+  const bool one_run = std::all_of(first, last, [&](const OpGroup& g) {
+    return g.count == first->count && g.stride == first->stride &&
+           first->index - g.index < std::max(g.stride, 1);
+  });
+  if (one_run) {
+    for (int r = first->count - 1; r >= 0; --r) {
+      for (auto it = first; it != last; ++it) {
+        if (!visit(it->index + r * it->stride, *it)) {
+          return;
+        }
+      }
+    }
+    return;
+  }
+  std::vector<std::pair<int, const OpGroup*>> members;
+  for (auto it = first; it != last; ++it) {
+    for (int r = 0; r < it->count; ++r) {
+      members.emplace_back(it->index + r * it->stride, &*it);
+    }
+  }
+  std::sort(members.begin(), members.end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+  for (const auto& [index, group] : members) {
+    if (!visit(index, *group)) {
+      return;
+    }
+  }
+}
+
+// Calls flip(index) for the `k` highest-index members of groups [first,
+// last).
 template <typename Flip>
-void ForEachLargestUntil(std::vector<std::pair<int64_t, int>>& pairs,
-                         int64_t need, int64_t in_flight, Flip flip) {
-  auto first = pairs.begin();
-  auto last = pairs.end();
-  while (need > 0 && first != last) {
-    // Median of three keeps periodic stages (repeated layers) balanced.
-    const auto mid = first + (last - first) / 2;
-    const auto hi = last - 1;
-    if (*mid < *first) {
-      std::iter_swap(mid, first);
+void FlipTopMembers(GroupIt first, GroupIt last, int64_t k, Flip flip) {
+  ForEachMemberByIndexDesc(first, last, [&](int index, const OpGroup&) {
+    if (k-- <= 0) {
+      return false;
     }
-    if (*hi < *first) {
-      std::iter_swap(hi, first);
+    flip(index);
+    return true;
+  });
+}
+
+// Visits `groups` in the order the greedy passes visit ops, descending
+// (key, index), one level of equal keys at a time: calls level(first,
+// last) for each level until it returns false. Members of a level all rank
+// alike, so a pass decides a level by counting; only groups tied on the
+// key interleave by index.
+template <typename Key, typename Level>
+void ForEachLevel(std::vector<OpGroup>& groups, Key key, Level level) {
+  std::sort(groups.begin(), groups.end(),
+            [&](const OpGroup& a, const OpGroup& b) {
+              return std::pair(key(a), a.index) > std::pair(key(b), b.index);
+            });
+  for (GroupIt first = groups.cbegin(); first != groups.cend();) {
+    auto last = first + 1;
+    while (last != groups.cend() && key(*last) == key(*first)) {
+      ++last;
     }
-    if (*hi < *mid) {
-      std::iter_swap(hi, mid);
+    if (!level(first, last)) {
+      return;
     }
-    const std::pair<int64_t, int> pivot = *mid;
-    // [first, above): larger than the pivot, visited before it.
-    const auto above =
-        std::partition(first, last, [&](const std::pair<int64_t, int>& p) {
-          return p > pivot;
-        });
-    int64_t above_bytes = 0;
-    for (auto it = first; it != above && above_bytes < need; ++it) {
-      above_bytes += it->first * in_flight;
-    }
-    if (above_bytes >= need) {
-      last = above;  // the pass stops before it reaches the pivot
-      continue;
-    }
-    for (auto it = first; it != above; ++it) {
-      flip(it->second);
-    }
-    need -= above_bytes + pivot.first * in_flight;
-    flip(pivot.second);
-    // The pivot is the largest of [above, last); step past it.
-    std::iter_swap(above, std::find(above, last, pivot));
-    first = above + 1;
+    first = last;
   }
 }
 
 }  // namespace
 
-double EstimateOpTime(const PerformanceModel& model, const Operator& op,
+double EstimateOpTime(const PerformanceModel& model, int op_index,
                       const OpParallel& setting, int microbatch_size) {
+  const OpGraph& graph = model.graph();
+  const Operator& op = graph.op(op_index);
   const int local_batch = std::max(1, microbatch_size / setting.dp);
-  const OpMeasurement m =
-      model.db().OpTime(op, model.graph().precision(),
-                        EffectiveShards(op, setting.tp), local_batch);
+  const OpMeasurement m = model.db().OpTime(
+      op, graph.op_signatures()[static_cast<size_t>(op_index)],
+      graph.precision(), EffectiveShards(op, setting.tp), local_batch);
   double t = m.fwd_seconds + m.bwd_seconds;
   if (setting.recompute) {
     t += m.fwd_seconds;
@@ -148,60 +185,96 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
     mutable_stage->ops[static_cast<size_t>(i)].recompute = recompute;
   };
 
+  // Both passes rank one group per op of the stage's segmentation (the
+  // ops that repeat it rank alike) and decide each level of equal rank by
+  // count (DESIGN.md §18).
+  const OpGraph& graph = model.graph();
+  std::vector<OpGroup> groups;
   if (memory > limit) {
-    // Enable recompute on the fattest activations until the stage fits.
-    std::vector<std::pair<int64_t, int>> by_size;  // (stored bytes, op index)
-    by_size.reserve(static_cast<size_t>(stage.num_ops));
-    for (int i = 0; i < stage.num_ops; ++i) {
-      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      if (!setting.recompute) {
-        const Operator& op = model.graph().op(stage.first_op + i);
-        const int64_t stored = ApproxStoredBytes(op, setting, mbs);
-        if (stored > 0) {
-          by_size.emplace_back(stored, i);
+    // Enable recompute on the fattest activations until the stage fits:
+    // ops by (stored bytes, index) descending, until `need <= 0`.
+    for (const StageRun& run : config.StageRuns(
+             graph, stage_index, model.run_compression_enabled())) {
+      for (int i = run.start; i < run.start + run.period; ++i) {
+        const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+        if (!setting.recompute) {
+          const int64_t stored =
+              ApproxStoredBytes(graph.op(stage.first_op + i), setting, mbs);
+          if (stored > 0) {
+            groups.push_back(OpGroup{i, run.reps, run.period, stored});
+          }
         }
       }
     }
-    ForEachLargestUntil(by_size, memory - limit, in_flight,
-                        [&](int i) { set_recompute(i, true); });
+    int64_t need = memory - limit;
+    ForEachLevel(
+        groups, [](const OpGroup& g) { return g.bytes; },
+        [&](GroupIt first, GroupIt last) {
+          const int64_t unit = first->bytes * in_flight;
+          int64_t members = 0;
+          for (auto it = first; it != last; ++it) {
+            members += it->count;
+          }
+          const int64_t k = std::min(members, (need + unit - 1) / unit);
+          FlipTopMembers(first, last, k,
+                         [&](int i) { set_recompute(i, true); });
+          need -= k * unit;
+          return need > 0;
+        });
   } else {
     // Release recompute where memory allows, cheapest savings first --
-    // i.e. drop the recomputations with the highest time cost per byte.
-    // The slack only shrinks, so an op whose release needs more than the
-    // initial slack can never be released: it is skipped before its
-    // profile lookup.
+    // i.e. drop the recomputations with the highest time cost per byte:
+    // ops by (recompute time, index) descending, each released while its
+    // added bytes fit. The slack only shrinks, so an op whose release
+    // needs more than the initial slack can never be released: it is
+    // skipped before its profile lookup.
     int64_t slack = limit - memory;
-    struct Release {
-      double cost;  // recompute time
-      int index;
-      int64_t added;  // bytes stored again once released
-    };
-    std::vector<Release> by_cost;
-    for (int i = 0; i < stage.num_ops; ++i) {
-      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      if (!setting.recompute) {
-        continue;
-      }
-      const Operator& op = model.graph().op(stage.first_op + i);
-      const int64_t added = ApproxStoredBytes(op, setting, mbs) * in_flight;
-      if (added > slack) {
-        continue;
-      }
-      const OpMeasurement m = model.db().OpTime(
-          op, model.graph().precision(), EffectiveShards(op, setting.tp),
-          std::max(1, mbs / setting.dp));
-      by_cost.push_back(Release{m.fwd_seconds, i, added});
-    }
-    std::sort(by_cost.begin(), by_cost.end(),
-              [](const Release& a, const Release& b) {
-                return std::pair(a.cost, a.index) > std::pair(b.cost, b.index);
-              });
-    for (const Release& release : by_cost) {
-      if (release.added <= slack) {
-        set_recompute(release.index, false);
-        slack -= release.added;
+    for (const StageRun& run : config.StageRuns(
+             graph, stage_index, model.run_compression_enabled())) {
+      for (int i = run.start; i < run.start + run.period; ++i) {
+        const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+        if (!setting.recompute) {
+          continue;
+        }
+        const int op_index = stage.first_op + i;
+        const Operator& op = graph.op(op_index);
+        const int64_t added = ApproxStoredBytes(op, setting, mbs) * in_flight;
+        if (added > slack) {
+          continue;
+        }
+        const OpMeasurement m = model.db().OpTime(
+            op, graph.op_signatures()[static_cast<size_t>(op_index)],
+            graph.precision(), EffectiveShards(op, setting.tp),
+            std::max(1, mbs / setting.dp));
+        groups.push_back(
+            OpGroup{i, run.reps, run.period, added, m.fwd_seconds});
       }
     }
+    ForEachLevel(
+        groups, [](const OpGroup& g) { return g.cost; },
+        [&](GroupIt first, GroupIt last) {
+          if (last - first == 1) {
+            // A lone group: its members add equal bytes back, so the
+            // greedy releases its top members while they fit.
+            const int64_t fit =
+                first->bytes == 0
+                    ? first->count
+                    : std::min<int64_t>(first->count, slack / first->bytes);
+            FlipTopMembers(first, last, fit,
+                           [&](int i) { set_recompute(i, false); });
+            slack -= fit * first->bytes;
+            return true;
+          }
+          ForEachMemberByIndexDesc(first, last,
+                                   [&](int i, const OpGroup& group) {
+                                     if (group.bytes <= slack) {
+                                       set_recompute(i, false);
+                                       slack -= group.bytes;
+                                     }
+                                     return true;
+                                   });
+          return true;
+        });
   }
 }
 
@@ -264,20 +337,21 @@ std::vector<int> ChooseMoveCounts(const PerformanceModel& model,
                                   bool from_front, double target_delta) {
   const StageConfig& stage = config.stage(from);
   const int n = stage.num_ops;
-  std::vector<double> op_times(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    op_times[static_cast<size_t>(i)] =
-        EstimateOpTime(model, model.graph().op(stage.first_op + i),
-                       stage.ops[static_cast<size_t>(i)],
-                       config.microbatch_size());
-  }
-  auto cumulative = [&](int k) {
-    double sum = 0.0;
-    for (int i = 0; i < k; ++i) {
+  // cumulative[k]: the estimated time of the k ops nearest the moving end,
+  // summed outward from that end. Extended lazily, so only the ops a count
+  // would move are profiled, in the same addition order as a full scan.
+  std::vector<double> cumulative{0.0};
+  auto cumulative_at = [&](int k) {
+    while (static_cast<int>(cumulative.size()) <= k) {
+      const int i = static_cast<int>(cumulative.size()) - 1;
       const int idx = from_front ? i : n - 1 - i;
-      sum += op_times[static_cast<size_t>(idx)];
+      cumulative.push_back(
+          cumulative.back() +
+          EstimateOpTime(model, stage.first_op + idx,
+                         stage.ops[static_cast<size_t>(idx)],
+                         config.microbatch_size()));
     }
-    return sum;
+    return cumulative[static_cast<size_t>(k)];
   };
   std::vector<int> counts{1};
   for (const double goal : {target_delta / 2.0, target_delta}) {
@@ -285,7 +359,7 @@ std::vector<int> ChooseMoveCounts(const PerformanceModel& model,
       continue;
     }
     for (int k = 1; k < n; ++k) {
-      if (cumulative(k) >= goal) {
+      if (cumulative_at(k) >= goal) {
         counts.push_back(k);
         break;
       }
@@ -721,9 +795,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
           if (!s.ops[static_cast<size_t>(i)].recompute) {
             continue;
           }
-          const double t =
-              EstimateOpTime(model, graph.op(s.first_op + i),
-                             s.ops[static_cast<size_t>(i)], mbs);
+          const double t = EstimateOpTime(model, s.first_op + i,
+                                          s.ops[static_cast<size_t>(i)], mbs);
           if (t > best_time) {
             best_time = t;
             best = i;

@@ -63,9 +63,9 @@ void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
 bool MoveOps(const PerformanceModel& model, ParallelConfig& config, int from,
              int to, int count);
 
-// Per-microbatch fwd+bwd kernel time of one op under `setting` — the greedy
-// choosers' ranking key.
-double EstimateOpTime(const PerformanceModel& model, const Operator& op,
+// Per-microbatch fwd+bwd kernel time of graph op `op_index` under
+// `setting` — the greedy choosers' ranking key.
+double EstimateOpTime(const PerformanceModel& model, int op_index,
                       const OpParallel& setting, int microbatch_size);
 
 }  // namespace aceso

@@ -24,22 +24,31 @@ std::vector<int> SampleSplitPoints(int n, int cap) {
   return points;
 }
 
-// Applies tp' = tp * factor (factor is 2 or 1/2 encoded as mul/div) to ops
-// [split, end) of `stage`. Returns false when any op cannot take the change.
-bool RetargetTail(const OpGraph& graph, StageConfig& stage, int split,
+// Whether every op of [split, end) of `stage` can take tp' = tp * 2
+// (`increase`) or tp / 2 within the stage's devices.
+bool CanRetargetTail(const StageConfig& stage, int split, bool increase) {
+  for (int i = split; i < stage.num_ops; ++i) {
+    const int tp = stage.ops[static_cast<size_t>(i)].tp;
+    const int new_tp = increase ? tp * 2 : tp / 2;
+    if (new_tp < 1 || new_tp > stage.num_devices) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Applies tp' = tp * 2 or tp / 2 (clamped per op) to ops [split, end) of
+// `stage`, which CanRetargetTail accepted.
+void RetargetTail(const OpGraph& graph, StageConfig& stage, int split,
                   bool increase) {
   for (int i = split; i < stage.num_ops; ++i) {
     const Operator& op = graph.op(stage.first_op + i);
     OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-    const int new_tp = increase ? setting.tp * 2 : setting.tp / 2;
-    if (new_tp < 1 || new_tp > stage.num_devices) {
-      return false;
-    }
-    const int clamped = ClampOpTp(op, new_tp);
+    const int clamped =
+        ClampOpTp(op, increase ? setting.tp * 2 : setting.tp / 2);
     setting.tp = clamped;
     setting.dp = stage.num_devices / clamped;
   }
-  return true;
 }
 
 }  // namespace
@@ -77,10 +86,12 @@ PerfResult FineTune(const PerformanceModel& model, ParallelConfig& config,
         if (budget.Expired()) {
           break;
         }
-        ParallelConfig trial = config;
-        if (!RetargetTail(graph, trial.MutableStage(s), split, increase)) {
+        // Checked before the copy: most halvings meet a tp-1 op.
+        if (!CanRetargetTail(config.stage(s), split, increase)) {
           continue;
         }
+        ParallelConfig trial = config;
+        RetargetTail(graph, trial.MutableStage(s), split, increase);
         if (!trial.Validate(graph, model.cluster(), &touched).ok()) {
           continue;
         }

@@ -4,6 +4,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/logging.h"
+#include "src/config/stage_segments.h"
 
 namespace aceso {
 namespace {
@@ -16,36 +17,14 @@ int FloorPow2(int n) {
   return p;
 }
 
-// The activation layout flowing between consecutive ops of a stage.
-struct Layout {
-  bool sharded = false;
-  int tp = 1;  // shard degree when sharded
-};
-
-// The layout after one op: partitioned column-sharded ops emit a sharded
-// activation, every other partitioned/replicated op emits a replicated one,
-// and shard followers preserve whatever flows in.
-Layout AdvanceLayout(const Operator& op, const OpParallel& setting,
-                     Layout layout) {
-  if (op.tp_class == TpClass::kPartitioned) {
-    if (setting.tp > 1 && setting.tp_dim == TpDim::kColumn) {
-      return Layout{true, setting.tp};
-    }
-    return Layout{false, 1};  // row output replicated post all-reduce
-  }
-  if (op.tp_class == TpClass::kReplicated) {
-    return Layout{false, 1};
-  }
-  return layout;
-}
-
 // The memory fields of one op's breakdown (stored activation, parameters,
 // optimizer state, working set), given the activation layout *after* the
 // op: integer arithmetic on the op and its setting, no profile lookup. The
 // walk (ComputeOpBreakdown) and the walk-free PerformanceModel::StageMemory
 // both call it, so the two cannot drift apart.
 inline void FillOpMemory(const Operator& op, const OpParallel& setting,
-                         Precision precision, int mbs, Layout out_layout,
+                         Precision precision, int mbs,
+                         ActivationLayout out_layout,
                          OpBreakdown& out) {
   const int64_t local_batch = DivideBytes(mbs, setting.dp);
   const int64_t output = DivideBytes(op.out_bytes * local_batch,
@@ -81,23 +60,35 @@ inline void AddOpMemory(const OpBreakdown& op, StageCost& cost) {
   cost.reserved_bytes = std::max(cost.reserved_bytes, op.workspace_bytes);
 }
 
+// Adds the integer fields of one block of a stage's segmentation, counted
+// `reps` times (integer sums and maxima do not depend on grouping).
+inline void AddRunMemory(const StageCost& block, int reps, StageCost& cost) {
+  cost.activation_bytes_per_mb += block.activation_bytes_per_mb * reps;
+  cost.param_bytes += block.param_bytes * reps;
+  cost.optimizer_bytes += block.optimizer_bytes * reps;
+  cost.reserved_bytes = std::max(cost.reserved_bytes, block.reserved_bytes);
+}
+
 // One op's cost decomposition given its walk-carried context: the incoming
 // activation layout and whether the previous op ran at a different dp
 // degree. This is the single derivation both the direct walk (WalkStage)
 // and the memoized path (ComputeStageCost) funnel through, so a memo hit is
 // bit-identical to a re-derivation by construction. Every input that can
 // change the result is part of the op-memo key.
+// `signature` is op.Signature(), as the graph holds it.
 OpBreakdown ComputeOpBreakdown(ProfileDatabase& db, const ClusterSpec& cluster,
-                               const Operator& op, const OpParallel& setting,
-                               Precision precision, int mbs, int first_device,
-                               const CommDomain& stage_domain, Layout layout,
-                               bool dp_mismatch) {
+                               const Operator& op, uint64_t signature,
+                               const OpParallel& setting, Precision precision,
+                               int mbs, int first_device,
+                               const CommDomain& stage_domain,
+                               ActivationLayout layout, bool dp_mismatch) {
   OpBreakdown out;
   const int local_batch = mbs / setting.dp;
   const int shards = EffectiveShards(op, setting.tp);
 
   // --- kernel time ---
-  const OpMeasurement meas = db.OpTime(op, precision, shards, local_batch);
+  const OpMeasurement meas =
+      db.OpTime(op, signature, precision, shards, local_batch);
   out.fwd_kernel = meas.fwd_seconds;
   out.bwd_kernel = meas.bwd_seconds;
   out.recompute = setting.recompute;
@@ -173,12 +164,6 @@ OpBreakdown ComputeOpBreakdown(ProfileDatabase& db, const ClusterSpec& cluster,
   return out;
 }
 
-// Longest (semantic word, layout-state) cycle the run detector looks for.
-// Transformer blocks are a dozen-odd ops, so 128 covers every realistic
-// repeating unit while bounding the detection scan at O(ops * 128) key
-// compares for pathological non-repeating stages.
-constexpr int kMaxRunPeriod = 128;
-
 }  // namespace
 
 int EffectiveShards(const Operator& op, int tp) {
@@ -232,16 +217,18 @@ StageWalk PerformanceModel::WalkStage(const ParallelConfig& config,
       stage.num_devices,
       cluster_.GroupCrossesNodes(first_device, stage.num_devices, 1)};
 
-  Layout layout;    // activations enter a stage replicated
-  int prev_dp = 0;  // 0 = no previous op
+  ActivationLayout layout;  // activations enter a stage replicated
+  int prev_dp = 0;          // 0 = no previous op
 
   for (int i = 0; i < stage.num_ops; ++i) {
-    const Operator& op = graph_->op(stage.first_op + i);
+    const int op_index = stage.first_op + i;
+    const Operator& op = graph_->op(op_index);
     const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
     const bool dp_mismatch = prev_dp != 0 && prev_dp != setting.dp;
-    walk.ops[static_cast<size_t>(i)] =
-        ComputeOpBreakdown(*db_, cluster_, op, setting, precision, mbs,
-                           first_device, stage_domain, layout, dp_mismatch);
+    walk.ops[static_cast<size_t>(i)] = ComputeOpBreakdown(
+        *db_, cluster_, op,
+        graph_->op_signatures()[static_cast<size_t>(op_index)], setting,
+        precision, mbs, first_device, stage_domain, layout, dp_mismatch);
     layout = AdvanceLayout(op, setting, layout);
     prev_dp = setting.dp;
   }
@@ -296,45 +283,48 @@ namespace {
 // ----- Walk plan (DESIGN.md §12) -----
 //
 // Everything about one stage's walk that is independent of placement
-// context (microbatch size, device count, rank within the node): per-op
-// memo-key cores, the layout state entering each op, the dp-reshard bit,
-// and the repeated-layer run segmentation. All of it is a pure function of
-// (graph, stage settings) — exactly what the stage's word cache pins — so
-// the plan is attached to that cache as a StageAnnotation and reused until
-// the stage mutates. Placement context re-enters per walk: op i's memo key
-// is HashCombine(base, core[i]) with `base` folding the context.
+// context (microbatch size, device count, rank within the node): the
+// stage's segmentation, and for each op it materializes the memo-key core
+// and the walk state entering it (layout, dp-reshard bit). All of it is a
+// pure function of (graph, stage settings) — exactly what the stage's word
+// cache pins — so the plan is attached to that cache as a StageAnnotation
+// and reused until the stage mutates. Placement context re-enters per walk:
+// an op's memo key is HashCombine(base, core) with `base` folding the
+// context.
 struct WalkPlan : StageAnnotation {
-  struct Run {
-    int start = 0;
-    int period = 0;  // 0: a single op at `start` (reps unused)
-    int reps = 0;
+  struct Op {
+    int index = 0;               // within the stage
+    bool mismatch = false;       // dp-reshard bit entering the op
+    ActivationLayout layout;     // layout entering the op
+    uint64_t core = 0;           // memo-key core
   };
-  std::vector<uint64_t> core;           // per-op key core
-  std::vector<Layout> layouts;          // layout entering op i
-  std::vector<unsigned char> mismatch;  // dp-reshard bit entering op i
-  std::vector<Run> runs;                // covers [0, num_ops) in walk order
+  std::vector<StageRun> runs;  // the stage segmentation, in walk order
+  std::vector<Op> ops;         // each block's ops, walked once, in order
 };
 
-// Fills `plan` for one stage. `words[i]` / `sigs[i]` are the packed
-// semantic word and operator signature of the stage's i-th op; `compress`
-// folds repeating runs (false yields one single-op run per op — the walk
-// order with run compression disabled).
+// Fills `plan` for one stage walked as `runs`. `words`, when not null,
+// holds the packed semantic word of each of the stage's ops (the block's
+// word cache); the materialized ops pack their own otherwise.
 void BuildWalkPlan(const OpGraph& graph, const StageConfig& stage,
-                   const uint64_t* words, const uint64_t* sigs, bool compress,
-                   WalkPlan& plan) {
-  const int num_ops = stage.num_ops;
-  plan.core.resize(static_cast<size_t>(num_ops));
-  plan.layouts.resize(static_cast<size_t>(num_ops));
-  plan.mismatch.resize(static_cast<size_t>(num_ops));
-  {
-    Layout layout;
-    int prev_dp = 0;
-    for (int i = 0; i < num_ops; ++i) {
+                   StageRunList runs, const uint64_t* words, WalkPlan& plan) {
+  const uint64_t* sigs =
+      graph.op_signatures().data() + static_cast<size_t>(stage.first_op);
+  plan.runs.assign(runs.begin(), runs.end());
+  int materialized = 0;
+  for (const StageRun& run : runs) {
+    materialized += run.period;
+  }
+  plan.ops.clear();
+  plan.ops.reserve(static_cast<size_t>(materialized));
+  // The walk state after a block's ops is the state after all of its
+  // repetitions: each repetition enters in the state the first one did.
+  ActivationLayout layout;
+  int prev_dp = 0;
+  for (const StageRun& run : runs) {
+    for (int i = run.start; i < run.start + run.period; ++i) {
       const Operator& op = graph.op(stage.first_op + i);
       const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
       const bool dp_mismatch = prev_dp != 0 && prev_dp != setting.dp;
-      plan.layouts[static_cast<size_t>(i)] = layout;
-      plan.mismatch[static_cast<size_t>(i)] = dp_mismatch ? 1 : 0;
       // Memo-key core: the operator signature, packed semantic word,
       // incoming layout state, and the dp-reshard bit — together with the
       // placement base they pin every input ComputeOpBreakdown reads, so
@@ -342,52 +332,17 @@ void BuildWalkPlan(const OpGraph& graph, const StageConfig& stage,
       // core full avalanche: sibling stages' bases differ in only a few
       // bits, and composing a *structured* core with them through one
       // HashCombine round has produced real cross-stage key collisions.
-      // Mixing is bijective, so the run detector's equality scan below is
-      // unaffected.
-      uint64_t core = HashCombine(sigs[i], words[i]);
+      const uint64_t word = words != nullptr
+                                ? words[i]
+                                : PackOpSemanticWord(op, setting);
+      uint64_t core = HashCombine(sigs[i], word);
       core = HashCombine(core,
                          layout.sharded ? static_cast<uint64_t>(layout.tp) : 0);
       core = HashCombine(core, dp_mismatch ? 1 : 0);
-      plan.core[static_cast<size_t>(i)] = Mix64(core);
+      plan.ops.push_back(WalkPlan::Op{i, dp_mismatch, layout, Mix64(core)});
       layout = AdvanceLayout(op, setting, layout);
       prev_dp = setting.dp;
     }
-  }
-  plan.runs.clear();
-  const std::vector<uint64_t>& core = plan.core;
-  int i = 0;
-  while (i < num_ops) {
-    // Smallest period P such that ops [i, i+P) and [i+P, i+2P) carry
-    // identical cores — layout-state is folded into the core, so core
-    // equality certifies that the walk state itself cycles (the run is
-    // well-defined, not just similar-looking settings).
-    int period = 0;
-    if (compress) {
-      const int max_period = std::min((num_ops - i) / 2, kMaxRunPeriod);
-      for (int p = 1; p <= max_period; ++p) {
-        if (core[static_cast<size_t>(i + p)] == core[static_cast<size_t>(i)] &&
-            std::equal(core.begin() + i, core.begin() + i + p,
-                       core.begin() + i + p)) {
-          period = p;
-          break;
-        }
-      }
-    }
-    if (period == 0) {
-      plan.runs.push_back(WalkPlan::Run{i, 0, 0});
-      ++i;
-      continue;
-    }
-    // Count verified repetitions (every block is compared elementwise to
-    // the first — no induction, each replayed block's cores are checked).
-    int reps = 2;
-    while (i + (reps + 1) * period <= num_ops &&
-           std::equal(core.begin() + i, core.begin() + i + period,
-                      core.begin() + i + reps * period)) {
-      ++reps;
-    }
-    plan.runs.push_back(WalkPlan::Run{i, period, reps});
-    i += reps * period;
   }
 }
 
@@ -401,7 +356,6 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   }
 
   const StageConfig& stage = config.stage(stage_index);
-  const int num_ops = stage.num_ops;
   const int first_device = config.StageFirstDevice(stage_index);
   const int mbs = config.microbatch_size();
   const Precision precision = graph_->precision();
@@ -410,22 +364,11 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
       cluster_.GroupCrossesNodes(first_device, stage.num_devices, 1)};
 
   // Per-op semantic words: reuse the stage block's cache (already paid for
-  // by hashing); pack locally only in the different-graph fallback.
+  // by hashing); the different-graph fallback packs them per op.
   const std::vector<uint64_t>* cached_words =
       config.StageOpWords(*graph_, stage_index);
-  std::vector<uint64_t> local_words;
-  if (cached_words == nullptr) {
-    local_words.resize(static_cast<size_t>(num_ops));
-    for (int i = 0; i < num_ops; ++i) {
-      local_words[static_cast<size_t>(i)] = PackOpSemanticWord(
-          graph_->op(stage.first_op + i), stage.ops[static_cast<size_t>(i)]);
-    }
-  }
   const uint64_t* words =
-      cached_words != nullptr ? cached_words->data() : local_words.data();
-  // Memo-key cores: the graph's per-op signatures, computed once at build.
-  const uint64_t* sigs =
-      graph_->op_signatures().data() + static_cast<size_t>(stage.first_op);
+      cached_words != nullptr ? cached_words->data() : nullptr;
 
   // Fetch the stage's walk plan, building and attaching it on first use.
   // The published plan is always built with compression on, and only read
@@ -440,13 +383,16 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
         config.StageWordAnnotation(*graph_, stage_index));
     if (plan == nullptr) {
       auto* fresh = new WalkPlan;
-      BuildWalkPlan(*graph_, stage, words, sigs, /*compress=*/true, *fresh);
+      BuildWalkPlan(*graph_, stage, config.StageRuns(*graph_, stage_index),
+                    words, *fresh);
       plan = static_cast<const WalkPlan*>(
           config.PublishStageWordAnnotation(*graph_, stage_index, fresh));
     }
   }
   if (plan == nullptr) {
-    BuildWalkPlan(*graph_, stage, words, sigs, run_compression_, local_plan);
+    BuildWalkPlan(*graph_, stage,
+                  config.StageRuns(*graph_, stage_index, run_compression_),
+                  words, local_plan);
     plan = &local_plan;
   }
 
@@ -460,19 +406,20 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
 
   // One op's breakdown: memo hit, or derive (into `tmp`) and publish.
   OpBreakdown scratch;
-  auto breakdown_at = [&](int i, OpBreakdown& tmp) -> const OpBreakdown* {
-    const uint64_t key =
-        HashCombine(base, plan->core[static_cast<size_t>(i)]);
+  auto breakdown_at = [&](const WalkPlan::Op& plan_op,
+                          OpBreakdown& tmp) -> const OpBreakdown* {
+    const uint64_t key = HashCombine(base, plan_op.core);
     if (memo_on) {
       if (const OpBreakdown* hit = op_memo_.Lookup(key)) {
         return hit;
       }
     }
-    tmp = ComputeOpBreakdown(*db_, cluster_, graph_->op(stage.first_op + i),
-                             stage.ops[static_cast<size_t>(i)], precision, mbs,
-                             first_device, stage_domain,
-                             plan->layouts[static_cast<size_t>(i)],
-                             plan->mismatch[static_cast<size_t>(i)] != 0);
+    const int op_index = stage.first_op + plan_op.index;
+    tmp = ComputeOpBreakdown(
+        *db_, cluster_, graph_->op(op_index),
+        graph_->op_signatures()[static_cast<size_t>(op_index)],
+        stage.ops[static_cast<size_t>(plan_op.index)], precision, mbs,
+        first_device, stage_domain, plan_op.layout, plan_op.mismatch);
     if (memo_on) {
       if (const OpBreakdown* published = op_memo_.Insert(key, tmp)) {
         return published;
@@ -523,16 +470,19 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   };
   std::vector<RunOp> block;
 
-  for (const WalkPlan::Run& run : plan->runs) {
-    if (run.period == 0) {
-      accumulate(*breakdown_at(run.start, scratch));
+  const WalkPlan::Op* plan_op = plan->ops.data();
+  for (const StageRun& run : plan->runs) {
+    if (run.reps == 1) {
+      for (int j = 0; j < run.period; ++j) {
+        accumulate(*breakdown_at(*plan_op++, scratch));
+      }
       continue;
     }
     block.clear();
     block.reserve(static_cast<size_t>(run.period));
     StageCost period_memory;  // the period's integer fields, added reps times
     for (int j = 0; j < run.period; ++j) {
-      const OpBreakdown& op = *breakdown_at(run.start + j, scratch);
+      const OpBreakdown& op = *breakdown_at(*plan_op++, scratch);
       RunOp run_op;
       run_op.fwd = op.fwd_kernel + op.fwd_comm;
       run_op.bwd = op.bwd_kernel + op.bwd_comm;
@@ -557,12 +507,7 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
         cost.dp_sync_time += op.dp_sync;
       }
     }
-    cost.activation_bytes_per_mb +=
-        period_memory.activation_bytes_per_mb * run.reps;
-    cost.param_bytes += period_memory.param_bytes * run.reps;
-    cost.optimizer_bytes += period_memory.optimizer_bytes * run.reps;
-    cost.reserved_bytes =
-        std::max(cost.reserved_bytes, period_memory.reserved_bytes);
+    AddRunMemory(period_memory, run.reps, cost);
   }
 
   // Inter-stage p2p, mirroring the WalkStage tail + AggregateStageCost.
@@ -591,21 +536,26 @@ int64_t PerformanceModel::StageMemory(const ParallelConfig& config,
   const StageConfig& stage = config.stage(stage_index);
   const int mbs = config.microbatch_size();
   const Precision precision = graph_->precision();
-  // The integer fields of ComputeStageCost, in walk order. Integer sums and
-  // maxima do not depend on grouping, so this equals the run-compressed
-  // aggregation as well as the direct one.
+  // The integer fields of ComputeStageCost over the stage's segmentation:
+  // one pass over each block's ops, counted reps times. Integer sums and
+  // maxima do not depend on grouping, so this equals the direct
+  // aggregation as well as the run-compressed one.
   const Operator* ops = &graph_->op(stage.first_op);
   StageCost cost;
   cost.activation_bytes_per_mb = RoundUpAllocSize(
       ops[0].in_bytes * static_cast<int64_t>(mbs / stage.ops[0].dp));
-  Layout layout;  // activations enter a stage replicated
+  ActivationLayout layout;  // activations enter a stage replicated
   OpBreakdown op_memory;
-  for (int i = 0; i < stage.num_ops; ++i) {
-    const Operator& op = ops[i];
-    const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-    layout = AdvanceLayout(op, setting, layout);
-    FillOpMemory(op, setting, precision, mbs, layout, op_memory);
-    AddOpMemory(op_memory, cost);
+  for (const StageRun& run :
+       config.StageRuns(*graph_, stage_index, run_compression_)) {
+    StageCost block;
+    for (int i = run.start; i < run.start + run.period; ++i) {
+      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      layout = AdvanceLayout(ops[i], setting, layout);
+      FillOpMemory(ops[i], setting, precision, mbs, layout, op_memory);
+      AddOpMemory(op_memory, block);
+    }
+    AddRunMemory(block, run.reps, cost);
   }
   return StageMemoryBytes(cost, config.num_stages(), stage_index);
 }

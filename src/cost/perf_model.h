@@ -140,9 +140,10 @@ class PerformanceModel {
   // run compression enabled (both default on) this is the fast path of
   // DESIGN.md §12: per-op contexts are keyed by (op signature, packed
   // semantic word, walk-carried layout state, placement context) and served
-  // from the lock-free memo, and maximal runs of repeating (key-)cycles —
-  // the N identical transformer blocks of a deep stage — replay one
-  // materialized period instead of re-deriving every repetition. The result
+  // from the lock-free memo, and the runs of the stage's periodic
+  // segmentation — the N identical transformer blocks of a deep stage —
+  // replay one materialized period instead of re-deriving every
+  // repetition. The result
   // is bit-identical to AggregateStageCost(WalkStage(config, stage_index))
   // in every field: integer fields aggregate associatively, double fields
   // replay the exact accumulation sequence with bit-equal per-op values
@@ -159,9 +160,10 @@ class PerformanceModel {
 
   // Stage `stage_index`'s Eq. 1 memory, equal bit for bit to
   // StageMemoryBytes(*ResolveStageCost(config, stage_index), ...) but from
-  // an integer-only pass over the stage's ops: no profile lookup, no
-  // op-memo or stage-cache probe, no allocation. The recompute fix-up's fit
-  // test (FixRecompute) reads this.
+  // an integer-only pass over one block per run of the stage's periodic
+  // segmentation (DESIGN.md §12): no profile lookup, no op-memo or
+  // stage-cache probe. The recompute fix-up's fit test (FixRecompute)
+  // reads this.
   int64_t StageMemory(const ParallelConfig& config, int stage_index) const;
 
   // Number of Evaluate() calls so far — the "explored configurations"
@@ -190,8 +192,10 @@ class PerformanceModel {
   // Setup-time toggle; not synchronized against concurrent Evaluate().
   void set_op_memo_enabled(bool enabled) { op_memo_.set_enabled(enabled); }
 
-  // Run compression (repeated-layer replay inside ComputeStageCost).
-  // Setup-time toggle; not synchronized against concurrent Evaluate().
+  // Run compression: the periodic stage segmentation behind
+  // ComputeStageCost, StageMemory and FixRecompute (off: every stage is one
+  // plain block). Setup-time toggle; not synchronized against concurrent
+  // Evaluate().
   bool run_compression_enabled() const { return run_compression_; }
   void set_run_compression_enabled(bool enabled) {
     run_compression_ = enabled;

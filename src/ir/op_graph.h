@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,29 @@ class OpGraph {
   const std::vector<uint64_t>& op_signatures() const { return op_signatures_; }
 
   void AddOp(Operator op);
+
+  // The graph's layer period and what repeats at it (DESIGN.md §12). Stage
+  // segmentation (src/config/stage_segments.h) reads it to replay one layer
+  // of a stage instead of re-deriving every repetition.
+  struct PeriodTable {
+    // The distance P in [1, kMaxLayerPeriod] at which the most ops have the
+    // signature of the op P places earlier (ties: the smallest), or 0 when
+    // fewer than three quarters of the ops repeat at it.
+    int period = 0;
+    // repeats[g] != 0 iff op g equals op g - period in every field but the
+    // name (0 for g < period, and everywhere when period is 0).
+    std::vector<unsigned char> repeats;
+    // layout_source[g]: the nearest op before g that is not a shard
+    // follower — the op whose output sets the activation layout entering g
+    // — or -1 when there is none.
+    std::vector<int> layout_source;
+  };
+  static constexpr int kMaxLayerPeriod = 128;
+
+  // Computed on first use (O(#ops * kMaxLayerPeriod) signature compares)
+  // and cached; AddOp drops it. Safe to call concurrently on a graph shared
+  // as const; the reference is stable until the graph is mutated.
+  const PeriodTable& period_table() const;
 
   // Total forward FLOPs per sample over all ops.
   double TotalFwdFlops() const;
@@ -108,7 +132,37 @@ class OpGraph {
     mutable std::atomic<uint64_t> value_{0};
   };
 
+  // Publish-once holder of the lazily computed PeriodTable. Copies start
+  // empty (the copy recomputes on first use); a move carries the table.
+  class LazyPeriodTable {
+   public:
+    LazyPeriodTable() = default;
+    LazyPeriodTable(const LazyPeriodTable&) {}
+    LazyPeriodTable& operator=(const LazyPeriodTable&) {
+      Reset();
+      return *this;
+    }
+    LazyPeriodTable(LazyPeriodTable&& other) noexcept
+        : table_(other.table_.exchange(nullptr)) {}
+    LazyPeriodTable& operator=(LazyPeriodTable&& other) noexcept {
+      delete table_.exchange(other.table_.exchange(nullptr));
+      return *this;
+    }
+    ~LazyPeriodTable() { Reset(); }
+
+    const PeriodTable* Load() const {
+      return table_.load(std::memory_order_acquire);
+    }
+    // Publishes `table` unless another thread won; returns the survivor.
+    const PeriodTable* Publish(std::unique_ptr<PeriodTable> table) const;
+    void Reset() { delete table_.exchange(nullptr); }
+
+   private:
+    mutable std::atomic<const PeriodTable*> table_{nullptr};
+  };
+
   uint64_t ComputeSemanticFingerprint() const;
+  std::unique_ptr<PeriodTable> ComputePeriodTable() const;
 
   std::string name_;
   Precision precision_ = Precision::kFp16;
@@ -116,6 +170,7 @@ class OpGraph {
   std::vector<Operator> ops_;
   std::vector<uint64_t> op_signatures_;
   CachedWord fingerprint_;
+  LazyPeriodTable period_table_;
 };
 
 }  // namespace aceso

@@ -340,10 +340,11 @@ std::unique_lock<std::mutex> ProfileDatabase::LockShard(
   return lock;
 }
 
-OpMeasurement ProfileDatabase::OpTime(const Operator& op, Precision precision,
-                                      int shard_degree, int local_batch) {
+OpMeasurement ProfileDatabase::OpTime(const Operator& op, uint64_t signature,
+                                      Precision precision, int shard_degree,
+                                      int local_batch) {
   OpProfileKey key;
-  key.op_signature = op.Signature();
+  key.op_signature = signature;
   key.shard_degree = shard_degree;
   key.local_batch = local_batch;
   key.precision = static_cast<int>(precision);

@@ -175,7 +175,14 @@ class ProfileDatabase {
   // Time of `op` with its compute divided `shard_degree` ways processing a
   // `local_batch`-sample microbatch. Memoized.
   OpMeasurement OpTime(const Operator& op, Precision precision,
-                       int shard_degree, int local_batch);
+                       int shard_degree, int local_batch) {
+    return OpTime(op, op.Signature(), precision, shard_degree, local_batch);
+  }
+  // The same lookup for a caller that holds `signature` == op.Signature()
+  // (OpGraph::op_signatures()), so the hot path does not rehash the op.
+  OpMeasurement OpTime(const Operator& op, uint64_t signature,
+                       Precision precision, int shard_degree,
+                       int local_batch);
 
   // Time of a collective over `bytes` with power-of-two bucketing and linear
   // interpolation between buckets. Memoized per bucket.

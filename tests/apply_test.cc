@@ -112,13 +112,12 @@ TEST_F(ApplyTest, FixRecomputeReleasesUnneededRecompute) {
 }
 
 TEST_F(ApplyTest, EstimateOpTimePositiveAndRecomputeAware) {
-  const Operator& op = graph_.op(5);
   OpParallel setting;
   setting.tp = 1;
   setting.dp = 1;
-  const double plain = EstimateOpTime(model_, op, setting, 4);
+  const double plain = EstimateOpTime(model_, 5, setting, 4);
   setting.recompute = true;
-  const double with_rc = EstimateOpTime(model_, op, setting, 4);
+  const double with_rc = EstimateOpTime(model_, 5, setting, 4);
   EXPECT_GT(plain, 0.0);
   EXPECT_GT(with_rc, plain);
 }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/aceso.h"
@@ -742,6 +743,419 @@ TEST_P(FuzzTest, FixRecomputeMatchesWalkAndSortReference) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// ----- Periodic stage segmentation -----
+
+// A model for the seed: deep stacks of 16, 256 and 1000 layers, a decoder,
+// an encoder-decoder and a CNN.
+OpGraph SegmentModelForSeed(int seed) {
+  switch (seed % 6) {
+    case 0:
+      return models::DeepTransformer(16);
+    case 1:
+      return models::DeepTransformer(256);
+    case 2:
+      return models::DeepTransformer(1000);
+    case 3:
+      return models::Gpt3(0.35);
+    case 4:
+      return models::T5(0.77);
+    default:
+      return models::WideResnet(0.5);
+  }
+}
+
+// Sets op `g` of `config` to tp `tp` (clamped to the op and its stage).
+void SetOpTp(const OpGraph& graph, ParallelConfig& config, int g, int tp) {
+  const int devices = config.stage(config.StageOfOp(g)).num_devices;
+  OpParallel& setting = config.MutableOpSettings(g);
+  setting.tp = ClampOpTp(graph.op(g), std::min(tp, devices));
+  setting.dp = devices / setting.tp;
+}
+
+// An even config whose settings repeat with the graph's layer period, as
+// searched deep stages do: each position in the period draws a tp (1, 2 or
+// 4), a tp dim, a recompute and a ZeRO flag. A stage's first repetition
+// enters replicated and without a dp-reshard, so positions whose tp or dim
+// differ make later repetitions enter in another layout or dp than the
+// first. Then up to four random ops break the period (a recompute toggle, a
+// dim flip or a new tp). Microbatch 8 keeps every dp on 8 GPUs valid.
+ParallelConfig PeriodicZooConfig(const OpGraph& graph,
+                                 const ClusterSpec& cluster, Rng& rng) {
+  ParallelConfig config =
+      *MakeEvenConfig(graph, cluster, 1 << rng.NextInt(0, 2), 8);
+  const int period = std::max(1, graph.period_table().period);
+  struct Pattern {
+    int tp;
+    bool flip_dim;
+    bool recompute;
+    bool zero;
+  };
+  std::vector<Pattern> patterns;
+  for (int j = 0; j < period; ++j) {
+    patterns.push_back(Pattern{1 << rng.NextInt(0, 2), rng.NextBool(0.3),
+                               rng.NextBool(0.25), rng.NextBool(0.2)});
+  }
+  for (int g = 0; g < graph.num_ops(); ++g) {
+    const Pattern& pattern = patterns[static_cast<size_t>(g % period)];
+    SetOpTp(graph, config, g, pattern.tp);
+    OpParallel& setting = config.MutableOpSettings(g);
+    if (pattern.flip_dim) {
+      setting.tp_dim =
+          setting.tp_dim == TpDim::kColumn ? TpDim::kRow : TpDim::kColumn;
+    }
+    setting.recompute = pattern.recompute;
+    setting.zero_opt = pattern.zero;
+  }
+  for (int k = rng.NextInt(0, 4); k > 0; --k) {
+    const int g = rng.NextInt(0, graph.num_ops() - 1);
+    OpParallel& setting = config.MutableOpSettings(g);
+    switch (rng.NextInt(0, 2)) {
+      case 0:
+        setting.recompute = !setting.recompute;
+        break;
+      case 1:
+        setting.tp_dim =
+            setting.tp_dim == TpDim::kColumn ? TpDim::kRow : TpDim::kColumn;
+        break;
+      default:
+        SetOpTp(graph, config, g, 1 << rng.NextInt(0, 3));
+        break;
+    }
+  }
+  return config;
+}
+
+// The number of stages of `config` whose segmentation replays a run.
+int CompressedStages(const OpGraph& graph, const ParallelConfig& config) {
+  int compressed = 0;
+  for (int s = 0; s < config.num_stages(); ++s) {
+    for (const StageRun& run : config.StageRuns(graph, s)) {
+      if (run.reps >= 2) {
+        ++compressed;
+        break;
+      }
+    }
+  }
+  return compressed;
+}
+
+// Validate's per-op checks, op by op over every stage, with its messages:
+// the reference for configs whose stage headers are valid.
+std::string ReferenceOpCheckMessage(const OpGraph& graph,
+                                    const ParallelConfig& config) {
+  for (int s = 0; s < config.num_stages(); ++s) {
+    const StageConfig& stage = config.stage(s);
+    for (int i = 0; i < stage.num_ops; ++i) {
+      const Operator& op = graph.op(stage.first_op + i);
+      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+      const std::string tag =
+          "stage " + std::to_string(s) + " op " + op.name + ": ";
+      if (!IsPow2(setting.tp) || !IsPow2(setting.dp)) {
+        return tag + "tp/dp must be powers of two";
+      }
+      if (setting.tp * setting.dp != stage.num_devices) {
+        return tag + "tp*dp=" + std::to_string(setting.tp * setting.dp) +
+               " != stage devices " + std::to_string(stage.num_devices);
+      }
+      int limit = 1;
+      while (limit * 2 <= std::max(op.max_tp, 1)) {
+        limit *= 2;
+      }
+      if (op.tp_class == TpClass::kPartitioned && setting.tp > limit) {
+        return tag + "tp " + std::to_string(setting.tp) +
+               " exceeds op limit " + std::to_string(op.max_tp);
+      }
+      if (config.microbatch_size() % setting.dp != 0) {
+        return tag + "dp " + std::to_string(setting.dp) +
+               " does not divide microbatch size " +
+               std::to_string(config.microbatch_size());
+      }
+    }
+  }
+  return "";
+}
+
+TEST_P(FuzzTest, SegmentedValidateMatchesPerOpReference) {
+  // Violations planted at random ops — often in a later repetition of a
+  // layer, sometimes repeated one period later too — are reported exactly
+  // as the op-by-op checks report them.
+  const OpGraph graph = SegmentModelForSeed(GetParam());
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  const int period = graph.period_table().period;
+  int compressed = 0;
+  for (int round = 0; round < 8; ++round) {
+    ParallelConfig config = PeriodicZooConfig(graph, cluster, rng_);
+    compressed += CompressedStages(graph, config);
+    for (int k = rng_.NextInt(0, 2); k > 0; --k) {
+      const int g = rng_.NextInt(0, graph.num_ops() - 1);
+      const int kind = rng_.NextInt(0, 3);
+      for (const int target : {g, g + period}) {
+        if (target >= graph.num_ops() || (target != g && rng_.NextBool(0.5))) {
+          continue;
+        }
+        OpParallel& setting = config.MutableOpSettings(target);
+        switch (kind) {
+          case 0:
+            setting.tp = 3;
+            break;
+          case 1:
+            setting.dp *= 2;
+            break;
+          case 2:
+            setting.tp = 64;
+            setting.dp = 1;
+            break;
+          default:
+            setting.dp = 16;
+            setting.tp = 1;
+            break;
+        }
+      }
+    }
+    const std::string want = ReferenceOpCheckMessage(graph, config);
+    const Status got = config.Validate(graph, cluster);
+    ASSERT_EQ(got.ok(), want.empty()) << got.ToString() << " round " << round;
+    if (!want.empty()) {
+      ASSERT_EQ(got.message(), want) << graph.name() << " round " << round;
+    }
+  }
+  if (period > 0) {
+    EXPECT_GT(compressed, 0);
+  }
+}
+
+// One stage's Eq. 1 memory, op by op from the direct walk's breakdowns.
+int64_t ReferenceStageMemory(const PerformanceModel& model,
+                             const ParallelConfig& config, int s) {
+  const StageWalk walk = model.WalkStage(config, s);
+  int64_t activation = RoundUpAllocSize(walk.boundary_bytes);
+  int64_t param = 0;
+  int64_t optimizer = 0;
+  int64_t reserved = 0;
+  for (const OpBreakdown& op : walk.ops) {
+    if (op.stored_bytes > 0) {
+      activation += RoundUpAllocSize(op.stored_bytes);
+    }
+    param += op.param_bytes;
+    optimizer += op.optimizer_bytes;
+    reserved = std::max(reserved, op.workspace_bytes);
+  }
+  const int64_t in_flight = std::max(1, config.num_stages() - s);
+  return param + optimizer + activation * in_flight + reserved;
+}
+
+// One stage's cost, op by op in the direct walk's addition order.
+StageCost ReferenceStageCost(const PerformanceModel& model,
+                             const ParallelConfig& config, int s) {
+  const StageWalk walk = model.WalkStage(config, s);
+  StageCost cost;
+  cost.activation_bytes_per_mb = RoundUpAllocSize(walk.boundary_bytes);
+  for (const OpBreakdown& op : walk.ops) {
+    cost.fwd_time += op.fwd_kernel + op.fwd_comm;
+    cost.bwd_time += op.bwd_kernel + op.bwd_comm;
+    cost.comp_time += op.fwd_kernel + op.bwd_kernel;
+    cost.comm_time += op.fwd_comm + op.bwd_comm;
+    if (op.recompute) {
+      cost.bwd_time += op.fwd_kernel;
+      cost.recompute_time += op.fwd_kernel;
+    }
+    cost.dp_sync_time += op.dp_sync;
+    if (op.stored_bytes > 0) {
+      cost.activation_bytes_per_mb += RoundUpAllocSize(op.stored_bytes);
+    }
+    cost.param_bytes += op.param_bytes;
+    cost.optimizer_bytes += op.optimizer_bytes;
+    cost.reserved_bytes = std::max(cost.reserved_bytes, op.workspace_bytes);
+  }
+  cost.fwd_time += walk.p2p_fwd;
+  cost.bwd_time += walk.p2p_bwd;
+  cost.comm_time += walk.p2p_fwd + walk.p2p_bwd;
+  return cost;
+}
+
+TEST_P(FuzzTest, SegmentedStageMemoryAndCostMatchPerOpReference) {
+  // StageMemory and ComputeStageCost replay one block per run; both must
+  // equal the op-by-op figures bit for bit, with run compression and the
+  // op memo each on and off.
+  const OpGraph graph = SegmentModelForSeed(GetParam());
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(cluster, /*seed=*/GetParam());
+  std::vector<std::unique_ptr<PerformanceModel>> models;
+  for (int mode = 0; mode < 4; ++mode) {
+    models.push_back(std::make_unique<PerformanceModel>(&graph, cluster, &db));
+    models.back()->set_run_compression_enabled((mode & 1) == 0);
+    models.back()->set_op_memo_enabled((mode & 2) == 0);
+  }
+  int compressed = 0;
+  for (int round = 0; round < 5; ++round) {
+    const ParallelConfig config = PeriodicZooConfig(graph, cluster, rng_);
+    ASSERT_TRUE(config.Validate(graph, cluster).ok());
+    compressed += CompressedStages(graph, config);
+    for (int s = 0; s < config.num_stages(); ++s) {
+      const int64_t memory = ReferenceStageMemory(*models[0], config, s);
+      const StageCost want = ReferenceStageCost(*models[0], config, s);
+      for (const auto& model : models) {
+        ASSERT_EQ(model->StageMemory(config, s), memory)
+            << graph.name() << " stage " << s << " round " << round;
+        const StageCost got = model->ComputeStageCost(config, s);
+        ASSERT_EQ(got.fwd_time, want.fwd_time) << s;
+        ASSERT_EQ(got.bwd_time, want.bwd_time) << s;
+        ASSERT_EQ(got.comp_time, want.comp_time) << s;
+        ASSERT_EQ(got.comm_time, want.comm_time) << s;
+        ASSERT_EQ(got.recompute_time, want.recompute_time) << s;
+        ASSERT_EQ(got.dp_sync_time, want.dp_sync_time) << s;
+        ASSERT_EQ(got.param_bytes, want.param_bytes) << s;
+        ASSERT_EQ(got.optimizer_bytes, want.optimizer_bytes) << s;
+        ASSERT_EQ(got.activation_bytes_per_mb, want.activation_bytes_per_mb)
+            << s;
+        ASSERT_EQ(got.reserved_bytes, want.reserved_bytes) << s;
+      }
+    }
+  }
+  if (graph.period_table().period > 0) {
+    EXPECT_GT(compressed, 0);
+  }
+}
+
+TEST_P(FuzzTest, SegmentedFixRecomputeMatchesPerOpReference) {
+  // The fix-up ranks one op per block and selects replayed ops by count;
+  // at capacities planted on the edges of both greedy passes it must flip
+  // exactly the flags the op-by-op sort-based passes flip, with run
+  // compression on and off.
+  const OpGraph graph = SegmentModelForSeed(GetParam());
+  const ClusterSpec base = ClusterSpec::WithGpuCount(8);
+  ProfileDatabase db(base, /*seed=*/GetParam());
+  const PerformanceModel probe(&graph, base, &db);
+  int checked = 0;
+  for (int round = 0; round < 3; ++round) {
+    const ParallelConfig config = PeriodicZooConfig(graph, base, rng_);
+    for (int s = 0; s < config.num_stages(); ++s) {
+      for (const int64_t limit : FixLimits(probe, config, s)) {
+        ClusterSpec cluster = base;
+        cluster.gpu.memory_bytes = std::max<int64_t>(1, limit);
+        PerformanceModel model(&graph, cluster, &db);
+        ParallelConfig want = config;
+        WalkAndSortFixRecompute(model, want, s);
+        for (const bool compress : {true, false}) {
+          model.set_run_compression_enabled(compress);
+          ParallelConfig got = config;
+          FixRecompute(model, got, s);
+          const StageConfig& got_stage = got.stage(s);
+          const StageConfig& want_stage = want.stage(s);
+          for (int i = 0; i < got_stage.num_ops; ++i) {
+            ASSERT_EQ(got_stage.ops[static_cast<size_t>(i)].recompute,
+                      want_stage.ops[static_cast<size_t>(i)].recompute)
+                << graph.name() << " stage " << s << " op " << i << " limit "
+                << limit << " round " << round << " compress " << compress;
+          }
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(SegmentedFixRecomputeTest, TiesAcrossRunsOfEqualLength) {
+  // A one-stage deep plan broken by one recompute flag so that its
+  // segmentation holds two runs of equal length around that op: their ops
+  // tie on bytes op for op but lie more than a period apart, so the fix-up
+  // must merge them by index, not repetition by repetition.
+  const ClusterSpec base = ClusterSpec::WithGpuCount(8);
+  OpGraph graph;
+  ParallelConfig config;
+  bool found = false;
+  for (int layers = 20; layers <= 40 && !found; ++layers) {
+    graph = models::DeepTransformer(layers);
+    const ParallelConfig even = *MakeEvenConfig(graph, base, 1, 8);
+    for (int g = 0; g < graph.num_ops() && !found; ++g) {
+      ParallelConfig broken = even;
+      broken.MutableOpSettings(g).recompute = true;
+      // Two equal runs around the flagged op alone, so their groups are
+      // the only ones of their levels.
+      const StageRunList list = broken.StageRuns(graph, 0);
+      const std::vector<StageRun> runs(list.begin(), list.end());
+      for (size_t k = 0; k + 2 < runs.size() && !found; ++k) {
+        if (runs[k].reps >= 2 && runs[k + 1].start == g &&
+            runs[k + 1].period == 1 && runs[k + 2].reps == runs[k].reps) {
+          config = broken;
+          found = true;
+        }
+      }
+      // Recompute every op outside the two runs (it stays outside), so the
+      // add pass ranks the runs' groups alone.
+      for (size_t k = 0; found && k < runs.size(); ++k) {
+        for (int i = runs[k].start; runs[k].reps == 1 && i < runs[k].end();
+             ++i) {
+          config.MutableOpSettings(i).recompute = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+  ProfileDatabase db(base);
+  const PerformanceModel probe(&graph, base, &db);
+  // Besides the usual edges, needs of 2..16 times the fattest activation
+  // stop the add pass inside the top level, where the two runs tie.
+  std::vector<int64_t> limits = FixLimits(probe, config, 0);
+  const int64_t memory = probe.StageMemory(config, 0);
+  int64_t fattest = 0;
+  for (int i = 0; i < graph.num_ops(); ++i) {
+    fattest = std::max(fattest, ReferenceStoredBytes(
+                                    graph.op(i), config.stage(0).ops[i], 8));
+  }
+  for (int j = 2; j <= 16; ++j) {
+    limits.push_back(memory - j * fattest);
+  }
+  for (const int64_t limit : limits) {
+    ClusterSpec cluster = base;
+    cluster.gpu.memory_bytes = std::max<int64_t>(1, limit);
+    const PerformanceModel model(&graph, cluster, &db);
+    ParallelConfig want = config;
+    WalkAndSortFixRecompute(model, want, 0);
+    ParallelConfig got = config;
+    FixRecompute(model, got, 0);
+    for (int i = 0; i < graph.num_ops(); ++i) {
+      ASSERT_EQ(got.stage(0).ops[static_cast<size_t>(i)].recompute,
+                want.stage(0).ops[static_cast<size_t>(i)].recompute)
+          << "op " << i << " limit " << limit;
+    }
+  }
+}
+
+TEST(SegmentationTest, ManyBreaksKeepAtMostMaxBlocksAndStayExact) {
+  // A recompute flag every 30 ops of a one-stage deepnet-256 plan leaves
+  // dozens of short runs; the segmentation keeps kMaxStageRuns blocks that
+  // tile the stage, and the passes over them stay exact.
+  const OpGraph graph = models::DeepTransformer(256);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ParallelConfig config = *MakeEvenConfig(graph, cluster, 1, 8);
+  for (int g = 0; g < graph.num_ops(); g += 30) {
+    config.MutableOpSettings(g).recompute = true;
+  }
+  int blocks = 0;
+  int next = 0;
+  for (const StageRun& run : config.StageRuns(graph, 0)) {
+    EXPECT_EQ(run.start, next);
+    next = run.end();
+    ++blocks;
+  }
+  EXPECT_EQ(next, graph.num_ops());
+  // The cap engaged: without it these breaks make dozens of blocks.
+  EXPECT_LE(blocks, kMaxStageRuns);
+  EXPECT_GE(blocks, kMaxStageRuns - 1);
+  ProfileDatabase db(cluster);
+  const PerformanceModel model(&graph, cluster, &db);
+  EXPECT_EQ(model.StageMemory(config, 0),
+            ReferenceStageMemory(model, config, 0));
+  const StageCost got = model.ComputeStageCost(config, 0);
+  const StageCost want = ReferenceStageCost(model, config, 0);
+  EXPECT_EQ(got.fwd_time, want.fwd_time);
+  EXPECT_EQ(got.bwd_time, want.bwd_time);
+  EXPECT_EQ(got.activation_bytes_per_mb, want.activation_bytes_per_mb);
+  EXPECT_EQ(got.reserved_bytes, want.reserved_bytes);
 }
 
 // The primitive kinds whose candidates all list their target stage as

@@ -208,6 +208,21 @@ class ValidateMessageTest : public ConfigTest {
     ADD_FAILURE() << "stage " << s << " has no op of the requested class";
     return stage.first_op;
   }
+  // The last op of stage `s` with tp class `tp_class` that repeats the op
+  // one layer period earlier within the same stage (global index).
+  int LaterRepetition(const ParallelConfig& config, int s, TpClass tp_class) {
+    const OpGraph::PeriodTable& table = graph_.period_table();
+    const StageConfig& stage = config.stage(s);
+    for (int i = stage.end_op() - 1; i >= stage.first_op + table.period;
+         --i) {
+      if (table.repeats[static_cast<size_t>(i)] != 0 &&
+          graph_.op(i).tp_class == tp_class) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "stage " << s << " has no repeating op of the class";
+    return stage.first_op;
+  }
 };
 
 TEST_F(ValidateMessageTest, NoStages) {
@@ -307,6 +322,74 @@ TEST_F(ValidateMessageTest, DpNotDividingMicrobatch) {
   config.set_microbatch_size(2);
   EXPECT_EQ(Message(config), "stage 0 op " + graph_.op(0).name +
                                  ": dp 4 does not divide microbatch size 2");
+}
+
+// The per-op violations again, each placed in a later repetition of a
+// layer: Validate checks one layer period per repeating run and replays
+// the rest, so a violating op (which no longer repeats its predecessor)
+// must still be found and reported with the same text and the same op.
+TEST_F(ValidateMessageTest, TpDpNotPow2InLaterRepetition) {
+  ParallelConfig config = Even2();
+  const int op = LaterRepetition(config, 1, TpClass::kPartitioned);
+  config.MutableOpSettings(op).tp = 3;
+  EXPECT_EQ(Message(config), "stage 1 op " + graph_.op(op).name +
+                                 ": tp/dp must be powers of two");
+}
+
+TEST_F(ValidateMessageTest, TpTimesDpMismatchInLaterRepetition) {
+  ParallelConfig config = Even2();
+  const int op = LaterRepetition(config, 0, TpClass::kReplicated);
+  config.MutableOpSettings(op).tp = 1;
+  config.MutableOpSettings(op).dp = 2;
+  EXPECT_EQ(Message(config), "stage 0 op " + graph_.op(op).name +
+                                 ": tp*dp=2 != stage devices 4");
+}
+
+TEST_F(ValidateMessageTest, TpOverOpLimitInLaterRepetition) {
+  const ClusterSpec wide = ClusterSpec::WithGpuCount(64);
+  ParallelConfig config = *MakeEvenConfig(graph_, wide, 1, 1);
+  // The last repeating partitioned op whose limit is below 64.
+  int op = config.stage(0).end_op() - 1;
+  while (graph_.op(op).tp_class != TpClass::kPartitioned ||
+         graph_.op(op).max_tp >= 64 ||
+         graph_.period_table().repeats[static_cast<size_t>(op)] == 0) {
+    --op;
+  }
+  config.MutableOpSettings(op).tp = 64;
+  config.MutableOpSettings(op).dp = 1;
+  EXPECT_EQ(config.Validate(graph_, wide).message(),
+            "stage 0 op " + graph_.op(op).name + ": tp 64 exceeds op limit " +
+                std::to_string(graph_.op(op).max_tp));
+}
+
+TEST_F(ValidateMessageTest, DpNotDividingMicrobatchInLaterRepetition) {
+  // Every op at tp 2 / dp 2 divides microbatch size 2; one op of a later
+  // layer at dp 4 does not.
+  ParallelConfig config = Even2();
+  for (int i = 0; i < graph_.num_ops(); ++i) {
+    OpParallel& setting = config.MutableOpSettings(i);
+    setting.tp = 2;
+    setting.dp = 2;
+  }
+  config.set_microbatch_size(2);
+  ASSERT_TRUE(config.Validate(graph_, cluster_).ok());
+  const int op = LaterRepetition(config, 1, TpClass::kShardFollower);
+  config.MutableOpSettings(op).tp = 1;
+  config.MutableOpSettings(op).dp = 4;
+  EXPECT_EQ(Message(config), "stage 1 op " + graph_.op(op).name +
+                                 ": dp 4 does not divide microbatch size 2");
+}
+
+TEST_F(ValidateMessageTest, FirstOfTwoRepeatedViolationsIsReported) {
+  // The same violation one period apart: the earlier op is reported.
+  ParallelConfig config = Even2();
+  const int later = LaterRepetition(config, 1, TpClass::kPartitioned);
+  const int earlier = later - graph_.period_table().period;
+  ASSERT_GE(earlier, config.stage(1).first_op);
+  config.MutableOpSettings(earlier).tp = 3;
+  config.MutableOpSettings(later).tp = 3;
+  EXPECT_EQ(Message(config), "stage 1 op " + graph_.op(earlier).name +
+                                 ": tp/dp must be powers of two");
 }
 
 // The stage filter limits only the per-op checks: a violation in a listed
