@@ -22,14 +22,14 @@ StageCacheOptions CacheOptions(bool enabled) {
 struct Fixture {
   // Warm-up is explicit per (model, stages): the constructor evaluates the
   // benchmarked config once, which fills the profile database for every
-  // (op, shards, batch) and collective bucket *this exact config* touches
-  // and lets the database publish its read snapshot. That is sufficient for
-  // benchmarks that re-evaluate `config` unchanged — but NOT for the delta
-  // benches, which mutate the config during timing: their variants' stage
-  // walks stay cold, so the first timed lap measures cache fill rather than
-  // steady state (and at --benchmark_min_time=0.05 the fill lap is a
-  // material fraction of all iterations). Those benches must pre-walk their
-  // whole mutation pool with WarmPatternPool() before the timed loop.
+  // (op, shards, batch) and collective bucket *this exact config* touches.
+  // That is sufficient for benchmarks that re-evaluate `config` unchanged —
+  // but NOT for the delta benches, which mutate the config during timing:
+  // their variants' stage walks stay cold, so the first timed lap measures
+  // cache fill rather than steady state (and at --benchmark_min_time=0.05
+  // the fill lap is a material fraction of all iterations). Those benches
+  // must pre-walk their whole mutation pool with WarmPatternPool() before
+  // the timed loop.
   Fixture(const std::string& name, int gpus, int stages,
           bool cache_enabled = true)
       : graph(*models::BuildByName(name)),
@@ -192,6 +192,48 @@ void BM_EvaluateDeepTransformerUncachedDirectWalk(benchmark::State& state) {
   EvaluateDeepUncached(state, /*fast_walk=*/false);
 }
 BENCHMARK(BM_EvaluateDeepTransformerUncachedDirectWalk)->Arg(256)->Arg(1000);
+
+// Warm profile-database lookups with nothing in front of them: one OpTime
+// and one CollectiveTime at a non-power-of-two size (two bucket reads and an
+// interpolation) per iteration, cycling 64 op keys and 16 sizes that are all
+// measured before timing starts. All threads share one database, so the
+// 4-thread run shows shard-lock contention on a fully warm table.
+constexpr int kWarmOpKeys = 64;
+constexpr int kWarmCommSizes = 16;
+
+struct WarmLookupTable {
+  WarmLookupTable()
+      : graph(*models::BuildByName("gpt3-1.3b")),
+        db(ClusterSpec::WithGpuCount(8)) {
+    for (int i = 0; i < kWarmOpKeys; ++i) {
+      Lookup(i);
+    }
+  }
+  double Lookup(int i) {
+    const int op = i % graph.num_ops();
+    const OpMeasurement m = db.OpTime(
+        graph.op(op), graph.op_signatures()[static_cast<size_t>(op)],
+        graph.precision(), 1 << (i % 4), 1 + i % 2);
+    const int64_t bytes = (int64_t{3} << (16 + i % kWarmCommSizes)) / 2;
+    return m.fwd_seconds +
+           db.CollectiveTime(CollectiveKind::kAllReduce, bytes,
+                             CommDomain{4, false});
+  }
+
+  OpGraph graph;
+  ProfileDatabase db;
+};
+
+void BM_ProfileLookupWarm(benchmark::State& state) {
+  static WarmLookupTable table;  // built and warmed once, by the first thread
+  int i = state.thread_index();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Lookup(i));
+    i = (i + 1) % kWarmOpKeys;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ProfileLookupWarm)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_SemanticHash(benchmark::State& state) {
   Fixture f("gpt3-1.3b", 8, 4);

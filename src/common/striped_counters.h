@@ -3,7 +3,7 @@
 // The hot lookup paths (op memo, stage-cost cache, profile database) count
 // every hit. One std::atomic<int64_t> per counter makes every thread write
 // the same line, and when that line also holds the read-mostly fields the
-// lookup reads (enable flags, table masks, snapshot pointers), each bump
+// lookup reads (enable flags, table masks, slot pointers), each bump
 // evicts them from every other reader's cache. StripedCounters keeps one
 // cache-line-aligned copy of a group of up to eight counters per stripe; a
 // thread writes only its own stripe and a read sums the stripes

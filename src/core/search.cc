@@ -698,10 +698,7 @@ void RecordModelCounters(const PerformanceModel& model,
   telemetry->IncrCounter("cost.op_memo_inserts_dropped", memo.inserts_dropped);
   telemetry->IncrCounter("profile_db.lookups", db.lookups);
   telemetry->IncrCounter("profile_db.misses", db.misses);
-  telemetry->IncrCounter("profile_db.l1_hits", db.l1_hits);
-  telemetry->IncrCounter("profile_db.snapshot_hits", db.snapshot_hits);
   telemetry->IncrCounter("profile_db.lock_contended", db.lock_contended);
-  telemetry->IncrCounter("profile_db.republishes", db.republishes);
 }
 
 }  // namespace

@@ -39,134 +39,7 @@ int Log2Floor(int64_t v) {
   return l;
 }
 
-size_t RoundUpPow2(size_t v) {
-  size_t p = 1;
-  while (p < v) {
-    p <<= 1;
-  }
-  return p;
-}
-
-// First snapshot publication waits for this many entries: during the first
-// few evaluations the maps churn too fast for a snapshot to pay for itself.
-constexpr size_t kSnapshotWarmupEntries = 64;
-
-// Source of per-instance L1 generation tags. The thread-local L1 arrays are
-// shared by every ProfileDatabase in the process (tests routinely create
-// several), so each entry is tagged with the owning instance's generation
-// and only exact (generation, key) matches hit. Starts at 1; tag 0 marks an
-// empty L1 slot.
-std::atomic<uint64_t> g_db_generation{1};
-
-// Thread-local direct-mapped L1 for the hottest lookups. Sized so the
-// working set of one stage walk (a few dozen distinct op keys, a handful of
-// collective buckets) fits with room for conflict misses; ~6 KiB per thread.
-constexpr size_t kL1OpSlots = 256;
-constexpr size_t kL1CommSlots = 128;
-
-struct L1OpEntry {
-  uint64_t gen = 0;
-  uint64_t key = 0;
-  OpMeasurement value;
-};
-
-struct L1CommEntry {
-  uint64_t gen = 0;
-  uint64_t key = 0;
-  double value = 0.0;
-};
-
-L1OpEntry& L1OpSlot(uint64_t hash) {
-  thread_local std::array<L1OpEntry, kL1OpSlots> slots{};
-  return slots[static_cast<size_t>(hash) & (kL1OpSlots - 1)];
-}
-
-L1CommEntry& L1CommSlot(uint64_t hash) {
-  thread_local std::array<L1CommEntry, kL1CommSlots> slots{};
-  return slots[static_cast<size_t>(hash) & (kL1CommSlots - 1)];
-}
-
 }  // namespace
-
-// Immutable open-addressing view of the memo maps. Built under
-// `republish_mu_` from the sharded maps (locking one shard at a time — a
-// snapshot may lack entries inserted concurrently with the rebuild; those
-// simply fall through to the sharded path) and published with a release
-// exchange. Load factor is kept at or below 1/2, so every probe sequence
-// terminates at an empty slot. Key 0 is the empty-slot sentinel: an entry
-// whose real hash is 0 (improbable for a Hasher digest, but possible) is
-// never added and always takes the locked path.
-struct ProfileDatabase::Snapshot {
-  struct OpSlot {
-    uint64_t key = 0;
-    OpMeasurement value;
-  };
-  struct CommSlot {
-    uint64_t key = 0;
-    double value = 0.0;
-  };
-
-  std::vector<OpSlot> ops;
-  size_t op_mask = 0;
-  std::vector<CommSlot> comms;
-  size_t comm_mask = 0;
-
-  static size_t TableSize(size_t entries) {
-    return RoundUpPow2(std::max<size_t>(2 * entries, 16));
-  }
-
-  void InsertOp(uint64_t key, const OpMeasurement& value) {
-    size_t i = static_cast<size_t>(key) & op_mask;
-    while (ops[i].key != 0) {
-      i = (i + 1) & op_mask;
-    }
-    ops[i].key = key;
-    ops[i].value = value;
-  }
-
-  void InsertComm(uint64_t key, double value) {
-    size_t i = static_cast<size_t>(key) & comm_mask;
-    while (comms[i].key != 0) {
-      i = (i + 1) & comm_mask;
-    }
-    comms[i].key = key;
-    comms[i].value = value;
-  }
-
-  const OpMeasurement* FindOp(uint64_t key) const {
-    if (key == 0 || ops.empty()) {
-      return nullptr;
-    }
-    size_t i = static_cast<size_t>(key) & op_mask;
-    while (true) {
-      const OpSlot& slot = ops[i];
-      if (slot.key == key) {
-        return &slot.value;
-      }
-      if (slot.key == 0) {
-        return nullptr;
-      }
-      i = (i + 1) & op_mask;
-    }
-  }
-
-  const double* FindComm(uint64_t key) const {
-    if (key == 0 || comms.empty()) {
-      return nullptr;
-    }
-    size_t i = static_cast<size_t>(key) & comm_mask;
-    while (true) {
-      const CommSlot& slot = comms[i];
-      if (slot.key == key) {
-        return &slot.value;
-      }
-      if (slot.key == 0) {
-        return nullptr;
-      }
-      i = (i + 1) & comm_mask;
-    }
-  }
-};
 
 uint64_t OpProfileKey::Hash() const {
   Hasher h;
@@ -249,86 +122,7 @@ double SimulatedProfiler::SimulatedMeasurementCost(
 }
 
 ProfileDatabase::ProfileDatabase(const ClusterSpec& cluster, uint64_t seed)
-    : cluster_(cluster),
-      profiler_(cluster, seed),
-      generation_(g_db_generation.fetch_add(1, std::memory_order_relaxed)) {}
-
-ProfileDatabase::~ProfileDatabase() {
-  delete snapshot_.load(std::memory_order_acquire);
-  for (const Snapshot* snap : retired_) {
-    delete snap;
-  }
-}
-
-void ProfileDatabase::MaybeRepublish() {
-  if (!read_opt_enabled_.load(std::memory_order_relaxed)) {
-    return;
-  }
-  const size_t total = total_entries_.load(std::memory_order_relaxed);
-  const size_t published = snapshot_entries_.load(std::memory_order_relaxed);
-  if (total < kSnapshotWarmupEntries) {
-    return;  // still warming up
-  }
-  // Geometric growth gate: republish only after ≥25% new entries, so total
-  // rebuild work over a search is O(n log n) and retired-snapshot memory is
-  // a constant factor of the final table.
-  if (published > 0 && total < published + published / 4) {
-    return;
-  }
-  RepublishSnapshot(/*block=*/false);
-}
-
-void ProfileDatabase::RepublishSnapshot(bool block) {
-  std::unique_lock<std::mutex> lock(republish_mu_, std::defer_lock);
-  if (block) {
-    lock.lock();
-  } else {
-    if (!lock.try_lock()) {
-      return;  // another thread is already rebuilding
-    }
-    // Re-check the growth gate: the thread we raced may have just
-    // published a snapshot covering our insert.
-    const size_t total = total_entries_.load(std::memory_order_relaxed);
-    const size_t published = snapshot_entries_.load(std::memory_order_relaxed);
-    if (published > 0 && total < published + published / 4) {
-      return;
-    }
-  }
-
-  std::vector<std::pair<uint64_t, OpMeasurement>> ops;
-  std::vector<std::pair<uint64_t, double>> comms;
-  for (const Shard& shard : shards_) {
-    auto shard_lock = LockShard(shard);
-    ops.insert(ops.end(), shard.op_entries.begin(), shard.op_entries.end());
-    comms.insert(comms.end(), shard.comm_entries.begin(),
-                 shard.comm_entries.end());
-  }
-
-  auto* snap = new Snapshot;
-  snap->ops.resize(Snapshot::TableSize(ops.size()));
-  snap->op_mask = snap->ops.size() - 1;
-  snap->comms.resize(Snapshot::TableSize(comms.size()));
-  snap->comm_mask = snap->comms.size() - 1;
-  for (const auto& [key, value] : ops) {
-    if (key != 0) {  // 0 is the empty-slot sentinel
-      snap->InsertOp(key, value);
-    }
-  }
-  for (const auto& [key, value] : comms) {
-    if (key != 0) {
-      snap->InsertComm(key, value);
-    }
-  }
-
-  const Snapshot* old =
-      snapshot_.exchange(snap, std::memory_order_acq_rel);
-  if (old != nullptr) {
-    retired_.push_back(old);
-  }
-  snapshot_entries_.store(ops.size() + comms.size(),
-                          std::memory_order_relaxed);
-  republishes_.fetch_add(1, std::memory_order_relaxed);
-}
+    : cluster_(cluster), profiler_(cluster, seed) {}
 
 std::unique_lock<std::mutex> ProfileDatabase::LockShard(
     const Shard& shard) const {
@@ -351,37 +145,12 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, uint64_t signature,
   const uint64_t hash = key.Hash();
   counters_.Add(kLookups);
 
-  // Lock-free hit path: thread-local L1, then the published snapshot.
-  // Published values are immutable, so these return the exact bits the
-  // locked path would.
-  const bool read_opt = read_opt_enabled_.load(std::memory_order_relaxed);
-  const uint64_t gen = generation_.load(std::memory_order_relaxed);
-  L1OpEntry& l1 = L1OpSlot(hash);
-  if (read_opt) {
-    if (l1.gen == gen && l1.key == hash) {
-      counters_.Add(kL1Hits);
-      return l1.value;
-    }
-    if (const Snapshot* snap = snapshot_.load(std::memory_order_acquire)) {
-      if (const OpMeasurement* found = snap->FindOp(hash)) {
-        counters_.Add(kSnapshotHits);
-        l1 = L1OpEntry{gen, hash, *found};
-        return *found;
-      }
-    }
-  }
-
   Shard& shard = ShardFor(hash);
   {
     auto lock = LockShard(shard);
     auto it = shard.op_entries.find(hash);
     if (it != shard.op_entries.end()) {
-      const OpMeasurement found = it->second;
-      lock.unlock();
-      if (read_opt) {
-        l1 = L1OpEntry{gen, hash, found};
-      }
-      return found;
+      return it->second;
     }
   }
   // Miss: measure with the shard unlocked (the measurement averages
@@ -390,84 +159,35 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, uint64_t signature,
   // then double-check: emplace ignores our value if another filler beat us.
   counters_.Add(kMisses);
   const OpMeasurement m = profiler_.MeasureOp(op, key);
-  OpMeasurement published;
-  bool fresh = false;
-  {
-    auto lock = LockShard(shard);
-    auto [it, inserted] = shard.op_entries.emplace(hash, m);
-    if (inserted) {
-      shard.simulated_profiling_seconds +=
-          profiler_.SimulatedMeasurementCost(m);
-    }
-    published = it->second;
-    fresh = inserted;
+  auto lock = LockShard(shard);
+  auto [it, inserted] = shard.op_entries.emplace(hash, m);
+  if (inserted) {
+    shard.simulated_profiling_seconds += profiler_.SimulatedMeasurementCost(m);
   }
-  if (fresh) {
-    total_entries_.fetch_add(1, std::memory_order_relaxed);
-    MaybeRepublish();
-  }
-  if (read_opt) {
-    l1 = L1OpEntry{gen, hash, published};
-  }
-  return published;
+  return it->second;
 }
 
 double ProfileDatabase::CollectiveBucketTime(const CommProfileKey& key) {
   const uint64_t hash = key.Hash();
   counters_.Add(kLookups);
 
-  const bool read_opt = read_opt_enabled_.load(std::memory_order_relaxed);
-  const uint64_t gen = generation_.load(std::memory_order_relaxed);
-  L1CommEntry& l1 = L1CommSlot(hash);
-  if (read_opt) {
-    if (l1.gen == gen && l1.key == hash) {
-      counters_.Add(kL1Hits);
-      return l1.value;
-    }
-    if (const Snapshot* snap = snapshot_.load(std::memory_order_acquire)) {
-      if (const double* found = snap->FindComm(hash)) {
-        counters_.Add(kSnapshotHits);
-        l1 = L1CommEntry{gen, hash, *found};
-        return *found;
-      }
-    }
-  }
-
   Shard& shard = ShardFor(hash);
   {
     auto lock = LockShard(shard);
     auto it = shard.comm_entries.find(hash);
     if (it != shard.comm_entries.end()) {
-      const double found = it->second;
-      lock.unlock();
-      if (read_opt) {
-        l1 = L1CommEntry{gen, hash, found};
-      }
-      return found;
+      return it->second;
     }
   }
   // Same unlocked-measure + first-writer-wins insert as OpTime.
   counters_.Add(kMisses);
   const double t = profiler_.MeasureCollective(key);
-  double published = 0.0;
-  bool fresh = false;
-  {
-    auto lock = LockShard(shard);
-    auto [it, inserted] = shard.comm_entries.emplace(hash, t);
-    if (inserted) {
-      shard.simulated_profiling_seconds += 50 * t;
-    }
-    published = it->second;
-    fresh = inserted;
+  auto lock = LockShard(shard);
+  auto [it, inserted] = shard.comm_entries.emplace(hash, t);
+  if (inserted) {
+    shard.simulated_profiling_seconds += 50 * t;
   }
-  if (fresh) {
-    total_entries_.fetch_add(1, std::memory_order_relaxed);
-    MaybeRepublish();
-  }
-  if (read_opt) {
-    l1 = L1CommEntry{gen, hash, published};
-  }
-  return published;
+  return it->second;
 }
 
 double ProfileDatabase::CollectiveTime(CollectiveKind kind, int64_t bytes,
@@ -516,9 +236,6 @@ ProfileDbStats ProfileDatabase::stats() const {
   s.lookups = counters_.Sum(kLookups);
   s.misses = counters_.Sum(kMisses);
   s.lock_contended = counters_.Sum(kLockContended);
-  s.l1_hits = counters_.Sum(kL1Hits);
-  s.snapshot_hits = counters_.Sum(kSnapshotHits);
-  s.republishes = republishes_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -832,43 +549,6 @@ Status ProfileDatabase::Load(const std::string& path) {
     Shard& shard = ShardFor(key);
     auto lock = LockShard(shard);
     shard.comm_entries[key] = t;
-  }
-
-  // Load replaces published entries, which breaks the usual immutability
-  // guarantee the lock-free read path relies on: re-tag the instance so
-  // every thread-local L1 entry for it goes stale, then publish the loaded
-  // entries *directly* as the read snapshot — the very first post-Load
-  // lookup is served lock-free. (Load is a setup-time call; it is not
-  // synchronized against concurrent lookups, same as before this read path
-  // existed.)
-  generation_.store(g_db_generation.fetch_add(1, std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-  total_entries_.store(parsed->ops.size() + parsed->comms.size(),
-                       std::memory_order_relaxed);
-  if (read_opt_enabled_.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> republish_lock(republish_mu_);
-    auto* snap = new Snapshot;
-    snap->ops.resize(Snapshot::TableSize(parsed->ops.size()));
-    snap->op_mask = snap->ops.size() - 1;
-    snap->comms.resize(Snapshot::TableSize(parsed->comms.size()));
-    snap->comm_mask = snap->comms.size() - 1;
-    for (const auto& [key, m] : parsed->ops) {
-      if (key != 0) {  // 0 is the empty-slot sentinel
-        snap->InsertOp(key, m);
-      }
-    }
-    for (const auto& [key, t] : parsed->comms) {
-      if (key != 0) {
-        snap->InsertComm(key, t);
-      }
-    }
-    const Snapshot* old = snapshot_.exchange(snap, std::memory_order_acq_rel);
-    if (old != nullptr) {
-      retired_.push_back(old);
-    }
-    snapshot_entries_.store(parsed->ops.size() + parsed->comms.size(),
-                            std::memory_order_relaxed);
-    republishes_.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
 }

@@ -21,28 +21,16 @@
 // insert: concurrent fillers may measure the same key twice, but exactly one
 // value is published, so memoized results stay deterministic. (The measurement
 // itself is deterministic per key, making the race doubly harmless;
-// first-writer-wins keeps the guarantee independent of that.)
-//
-// Read path (DESIGN.md §12): after warm-up the writers periodically publish
-// an immutable open-addressing *snapshot* of the memo maps behind a single
-// atomic pointer, and each thread keeps a small direct-mapped L1 of its
-// recently used op and collective-bucket entries. A warm lookup touches the
-// L1 (or the snapshot) and acquires no locks at all; only genuinely new keys
-// fall through to the sharded maps. Published entries are immutable
-// (first-writer-wins), so a snapshot or L1 hit always returns the exact bits
-// the locked path would — the optimization is invisible to results.
-// Snapshots are republished on geometric growth of the entry count (so
-// republish work amortizes to O(n log n) over a whole search) and retired
-// snapshots are kept until destruction, which lets readers hold a snapshot
-// pointer without any reclamation protocol.
+// first-writer-wins keeps the guarantee independent of that.) A warm lookup
+// takes one shard lock; the cost model's op memo (src/cost/op_memo.h) sits in
+// front of the database and absorbs the stage walk's repeated lookups
+// (DESIGN.md §12).
 //
 // Persistence (DESIGN.md §14): Save() serializes the database to a
 // versioned, checksummed binary snapshot file whose header embeds the full
 // ClusterSpec and its fingerprint; Load() *replaces* this database's
-// contents with the file's and publishes the loaded entries directly as the
-// immutable read snapshot — so a freshly loaded database serves its very
-// first lookup lock-free from the snapshot, and a process started from a
-// saved file runs zero simulated measurements for any key the file covers.
+// contents with the file's, so a process started from a saved file runs zero
+// simulated measurements for any key the file covers.
 // Load refuses version mismatches, corrupt/truncated files (checksum), and
 // snapshots profiled on a different cluster (fingerprint). Measurement
 // values round-trip as raw IEEE-754 bits: a loaded database is bit-identical
@@ -52,12 +40,10 @@
 #define SRC_PROFILE_PROFILE_DB_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/common/striped_counters.h"
@@ -147,18 +133,12 @@ struct ProfileDbStats {
   int64_t lookups = 0;        // OpTime + bucketed CollectiveTime calls
   int64_t misses = 0;         // lookups that ran a simulated measurement
   int64_t lock_contended = 0; // shard acquisitions that had to block
-  int64_t l1_hits = 0;        // served from the thread-local direct-mapped L1
-  int64_t snapshot_hits = 0;  // served from the immutable snapshot
-  int64_t republishes = 0;    // snapshot publications (incl. after Load)
 
   ProfileDbStats operator-(const ProfileDbStats& other) const {
     ProfileDbStats d;
     d.lookups = lookups - other.lookups;
     d.misses = misses - other.misses;
     d.lock_contended = lock_contended - other.lock_contended;
-    d.l1_hits = l1_hits - other.l1_hits;
-    d.snapshot_hits = snapshot_hits - other.snapshot_hits;
-    d.republishes = republishes - other.republishes;
     return d;
   }
 };
@@ -167,7 +147,6 @@ struct ProfileDbStats {
 class ProfileDatabase {
  public:
   ProfileDatabase(const ClusterSpec& cluster, uint64_t seed = 20240422);
-  ~ProfileDatabase();
 
   ProfileDatabase(const ProfileDatabase&) = delete;
   ProfileDatabase& operator=(const ProfileDatabase&) = delete;
@@ -200,10 +179,9 @@ class ProfileDatabase {
   // reuse measurements (the paper profiles each model family once). The
   // format is the versioned binary snapshot described in the module comment;
   // Save writes entries in sorted key order, so equal databases produce
-  // byte-identical files. Load replaces this database's contents, publishes
-  // the loaded entries directly as the read snapshot, and fails (leaving the
-  // database untouched) on bad magic, version mismatch, corruption, or a
-  // cluster-fingerprint mismatch against `cluster()`.
+  // byte-identical files. Load replaces this database's contents and fails
+  // (leaving the database untouched) on bad magic, version mismatch,
+  // corruption, or a cluster-fingerprint mismatch against `cluster()`.
   Status Save(const std::string& path) const;
   Status Load(const std::string& path);
 
@@ -217,16 +195,6 @@ class ProfileDatabase {
   const ClusterSpec& cluster() const { return cluster_; }
 
   ProfileDbStats stats() const;
-
-  // Master switch for the snapshot + L1 read path (setup-time toggle, used
-  // by benches and the on/off bit-identity tests). Disabled, every lookup
-  // takes the original sharded-lock path; values are identical either way.
-  bool read_optimizations_enabled() const {
-    return read_opt_enabled_.load(std::memory_order_relaxed);
-  }
-  void set_read_optimizations_enabled(bool enabled) {
-    read_opt_enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
  private:
   // Shard count: enough that 8 concurrent evaluators on disjoint keys
@@ -254,19 +222,6 @@ class ProfileDatabase {
 
   double CollectiveBucketTime(const CommProfileKey& key);
 
-  // The immutable read-optimized view; defined in the .cc. Published behind
-  // `snapshot_` with release/acquire; never mutated after publication.
-  struct Snapshot;
-
-  // Republish once entries have grown geometrically past the last snapshot
-  // (or past the warm-up floor for the first publication). Cheap no-op
-  // check on the miss path; the rebuild itself runs under `republish_mu_`
-  // with try_lock so concurrent fillers never convoy behind it.
-  void MaybeRepublish();
-  // `block` = wait for the republish mutex (setup-time callers: Load);
-  // otherwise bail out if another thread is already rebuilding.
-  void RepublishSnapshot(bool block);
-
   ClusterSpec cluster_;
   SimulatedProfiler profiler_;
 
@@ -274,35 +229,12 @@ class ProfileDatabase {
     kLookups,
     kMisses,
     kLockContended,
-    kL1Hits,
-    kSnapshotHits,
     kNumCounters
   };
 
   mutable std::array<Shard, kNumShards> shards_;
   // Bumped by every lookup, each thread in its own stripe.
   StripedCounters<kNumCounters> counters_;
-
-  // Read by every lookup and written only at setup or Load: a line of its
-  // own, apart from the shard locks and the miss-path fields below.
-  alignas(kCacheLineBytes) std::atomic<bool> read_opt_enabled_{true};
-  // Instance tag for thread-local L1 entries: drawn from a process-global
-  // counter at construction and re-drawn by Load() (which may overwrite
-  // published values), so stale L1 entries from another instance — or from
-  // this instance pre-Load — can never match.
-  std::atomic<uint64_t> generation_;
-  std::atomic<const Snapshot*> snapshot_{nullptr};
-  // Written on the miss path only.
-  alignas(kCacheLineBytes) std::atomic<size_t> total_entries_{0};
-  std::atomic<size_t> snapshot_entries_{0};  // entry count at last publish
-  std::atomic<int64_t> republishes_{0};
-  // Guards snapshot rebuilds and `retired_`. Never taken on the read path.
-  mutable std::mutex republish_mu_;
-  // Replaced snapshots, freed at destruction: readers may hold a snapshot
-  // pointer briefly without any reclamation protocol, and geometric
-  // republishing bounds total retired memory at a constant factor of the
-  // final snapshot.
-  std::vector<const Snapshot*> retired_;
 };
 
 }  // namespace aceso

@@ -193,10 +193,13 @@ SearchResult PlanService::SeededSearch(const PerformanceModel& model,
   SearchResult seeded = AcesoSearch(model, seeded_options);
 
   // Re-verdict (DESIGN.md §17): the seeded result must be at least as good
-  // as the adapted seed itself *and* as the unseeded heuristic init — the
-  // two starting points an unseeded search could trivially reach. A seed
-  // that dragged the search somewhere worse is discarded and the request
-  // re-runs unseeded, so neighbor seeding can only ever improve answers.
+  // as the adapted seed itself *and* as the even-split initial config at
+  // the seed's stage count. A seed that dragged the search below either is
+  // discarded and the request re-runs unseeded. This is a cheap floor, not
+  // a comparison with the full unseeded search: an adopted result may still
+  // be worse than what the unseeded path would serve at equal budget, and
+  // since the caller caches it under the exact request key, one key's plan
+  // can depend on which neighbors were cached before it.
   bool adopt = seeded.found;
   if (adopt && adapted->perf.BetterThan(seeded.best.perf)) {
     adopt = false;

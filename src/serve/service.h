@@ -20,9 +20,9 @@
 //
 // Profile databases are materialized per cluster fingerprint and shared by
 // every request for that cluster. With `snapshot_dir` set, a database whose
-// snapshot file exists warm-starts from it (ProfileDatabase::Load publishes
-// the entries as the lock-free read snapshot), so the daemon's first request
-// on a profiled cluster runs zero simulated measurements.
+// snapshot file exists warm-starts from it (ProfileDatabase::Load refills
+// the database from the file), so the daemon's first request on a profiled
+// cluster runs zero simulated measurements.
 
 #ifndef SRC_SERVE_SERVICE_H_
 #define SRC_SERVE_SERVICE_H_

@@ -210,73 +210,16 @@ TEST_F(ProfileDbTest, StatsCountLookupsAndMisses) {
   EXPECT_GE(delta.lock_contended, 0);
 }
 
-TEST_F(ProfileDbTest, L1ServesRepeatLookups) {
-  const Operator op = MakeMatmul();
-  const ProfileDbStats before = db_.stats();
-  const OpMeasurement first = db_.OpTime(op, Precision::kFp16, 2, 2);
-  const OpMeasurement second = db_.OpTime(op, Precision::kFp16, 2, 2);
-  EXPECT_EQ(first.fwd_seconds, second.fwd_seconds);
-  EXPECT_EQ(first.bwd_seconds, second.bwd_seconds);
-  // The repeat came out of this thread's direct-mapped L1 (generation-tagged
-  // to this instance, so entries from other tests' databases cannot match).
-  EXPECT_EQ((db_.stats() - before).l1_hits, 1);
-}
-
-TEST_F(ProfileDbTest, SnapshotPublishesAfterWarmupAndServesColdThreads) {
-  const Operator op = MakeMatmul();
-  const ProfileDbStats before = db_.stats();
-  // Enough distinct keys to cross the warm-up floor and republish at least
-  // once (thresholds are internal; 100 entries comfortably clears both).
-  for (int b = 1; b <= 100; ++b) {
-    db_.OpTime(op, Precision::kFp16, 1, b);
-  }
-  EXPECT_GE((db_.stats() - before).republishes, 1);
-
-  // A fresh thread has a cold L1, so its repeat lookups are served by the
-  // published snapshot — no locks, no re-measurement.
-  OpMeasurement from_thread;
-  std::thread reader([this, &op, &from_thread] {
-    from_thread = db_.OpTime(op, Precision::kFp16, 1, 5);
-  });
-  reader.join();
-  EXPECT_EQ(from_thread.fwd_seconds,
-            db_.OpTime(op, Precision::kFp16, 1, 5).fwd_seconds);
-  EXPECT_GE((db_.stats() - before).snapshot_hits, 1);
-}
-
-TEST_F(ProfileDbTest, ReadOptimizationsDoNotChangeValues) {
-  ProfileDatabase plain(cluster_, /*seed=*/42);
-  plain.set_read_optimizations_enabled(false);
-  const Operator op = MakeMatmul();
-  for (int round = 0; round < 3; ++round) {  // cold, then warm rounds
-    for (int b = 1; b <= 80; ++b) {
-      const OpMeasurement fast = db_.OpTime(op, Precision::kFp16, 1, b);
-      const OpMeasurement ref = plain.OpTime(op, Precision::kFp16, 1, b);
-      ASSERT_EQ(fast.fwd_seconds, ref.fwd_seconds) << "batch " << b;
-      ASSERT_EQ(fast.bwd_seconds, ref.bwd_seconds) << "batch " << b;
-      const double fast_t = db_.CollectiveTime(CollectiveKind::kAllReduce,
-                                               (b + 1) * 4096, CommDomain{4, false});
-      const double ref_t = plain.CollectiveTime(CollectiveKind::kAllReduce,
-                                                (b + 1) * 4096, CommDomain{4, false});
-      ASSERT_EQ(fast_t, ref_t) << "bytes " << (b + 1) * 4096;
-    }
-  }
-  const ProfileDbStats plain_stats = plain.stats();
-  EXPECT_EQ(plain_stats.l1_hits, 0);
-  EXPECT_EQ(plain_stats.snapshot_hits, 0);
-  EXPECT_EQ(plain_stats.republishes, 0);
-}
-
-TEST_F(ProfileDbTest, LoadInvalidatesThreadLocalL1) {
+TEST_F(ProfileDbTest, LoadReplacesMeasuredEntries) {
   const Operator op = MakeMatmul();
   // A different-seed database measures the same key and saves it.
   ProfileDatabase other(cluster_, /*seed=*/999);
   const OpMeasurement theirs = other.OpTime(op, Precision::kFp16, 2, 4);
-  const std::string path = ::testing::TempDir() + "/profile_db_l1_test.txt";
+  const std::string path = ::testing::TempDir() + "/profile_db_load_test.txt";
   ASSERT_TRUE(other.Save(path).ok());
 
-  // Warm this thread's L1 with our own measurement, then overwrite the
-  // entry via Load: the stale L1 value must not survive the reload.
+  // Measure the key here first, then overwrite the entry via Load: the
+  // earlier value must not survive the reload.
   const OpMeasurement ours = db_.OpTime(op, Precision::kFp16, 2, 4);
   ASSERT_NE(ours.fwd_seconds, theirs.fwd_seconds);
   ASSERT_TRUE(db_.Load(path).ok());
@@ -285,14 +228,13 @@ TEST_F(ProfileDbTest, LoadInvalidatesThreadLocalL1) {
   std::remove(path.c_str());
 }
 
-TEST_F(ProfileDbTest, RepublishRacesStayDeterministicUnderHammering) {
-  // Eight threads fill and re-read an entry population that crosses the
-  // snapshot warm-up and several geometric republish thresholds while other
-  // threads are mid-lookup. Every observed value must equal the serial
-  // reference, and the shared database must end with the same entries.
+TEST_F(ProfileDbTest, ConcurrentLookupsMatchSerialReference) {
+  // Eight threads fill and re-read the same entry population while other
+  // threads are mid-lookup. Every observed value must equal a reference
+  // database filled on one thread, and the shared database must end with
+  // the same entries.
   const Operator op = MakeMatmul();
   ProfileDatabase serial{cluster_, /*seed=*/42};
-  serial.set_read_optimizations_enabled(false);
   std::vector<OpMeasurement> expected;
   for (int b = 1; b <= 80; ++b) {
     expected.push_back(serial.OpTime(op, Precision::kFp16, 1 + b % 4, b));
@@ -322,7 +264,6 @@ TEST_F(ProfileDbTest, RepublishRacesStayDeterministicUnderHammering) {
     EXPECT_EQ(mismatches[static_cast<size_t>(t)], 0) << "thread " << t;
   }
   EXPECT_EQ(db_.NumEntries(), serial.NumEntries());
-  EXPECT_GE(db_.stats().republishes, 1);
 }
 
 // ---- versioned binary snapshot files (DESIGN.md §14) ----
@@ -484,15 +425,15 @@ TEST_F(ProfileDbTest, LoadRejectsClusterMismatch) {
   std::remove(path.c_str());
 }
 
-TEST_F(ProfileDbTest, LoadedSnapshotServesZeroLockReads) {
+TEST_F(ProfileDbTest, LoadedDatabaseMeasuresNothing) {
   FillDb(db_);
   const std::string path = ::testing::TempDir() + "/snap_reads.apdb";
   ASSERT_TRUE(db_.Save(path).ok());
 
   ProfileDatabase loaded(cluster_, /*seed=*/999);
   ASSERT_TRUE(loaded.Load(path).ok());
-  // Load publishes the read snapshot directly: repeating the saved lookups
-  // takes zero misses (no re-measurement) on the loaded database.
+  // Repeating the saved lookups takes zero misses (no re-measurement) on
+  // the loaded database.
   const ProfileDbStats before = loaded.stats();
   FillDb(loaded);
   const ProfileDbStats delta = loaded.stats() - before;

@@ -265,6 +265,9 @@ TEST(PlanServiceTest, SeededAnswerNeverWorseThanUnseededAtEqualBudget) {
   // The §17 floor, end to end: for the same request sequence at the same
   // evaluation budget, a neighbor-seeding service must answer the perturbed
   // request with a plan at least as good as the strictly-unseeded service's.
+  // This checks one instance, not a guarantee: the re-verdict compares the
+  // seeded result only with the adapted seed and the even-split init, so an
+  // adopted plan can in general be worse than the unseeded search's.
   auto iteration_time_of = [](const PlanService::Response& response) {
     auto doc = JsonParse(response.body());
     EXPECT_TRUE(doc.ok());

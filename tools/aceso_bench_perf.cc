@@ -174,7 +174,7 @@ WalkReport BenchWalks(const WalkSetting& setting, double min_time) {
     uncached.set_op_memo_enabled(mode.memo);
     uncached.set_run_compression_enabled(mode.run_compression);
     // Warm under the selected walk mode (memo fill happens here, and the
-    // profile DB publishes its read snapshot on the first full walk).
+    // profile DB measures every key on the first full walk).
     const uint64_t bits = PerfBits(uncached.Evaluate(config));
     report.bit_identical = report.bit_identical && bits == direct_bits;
     report.modes.push_back(

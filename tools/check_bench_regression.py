@@ -7,6 +7,9 @@ Usage:
 
 Fails (exit 1) when any benchmark present in both reports is more than
 --threshold times slower (by real_time per iteration) than the baseline,
+comparing the median of each report's repeated iteration rows (run the
+benchmark binary with --benchmark_repetitions=N; a single sample of a
+sub-microsecond benchmark can spread ~2x on a shared host),
 or when a baseline benchmark is missing from the current report entirely —
 a silently skipped metric is how a regression check rots, so every missing
 name is printed and fatal (pass --allow-missing while retiring a benchmark,
@@ -23,18 +26,20 @@ regressions such as an accidentally disabled cache. Refresh the baseline
 
 import argparse
 import json
+import statistics
 import sys
 
 
 def load_times(path):
+    """Median real_time per benchmark name over its iteration rows."""
     with open(path) as f:
         report = json.load(f)
-    times = {}
+    samples = {}
     for bench in report.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        times[bench["name"]] = float(bench["real_time"])
-    return times
+        samples.setdefault(bench["name"], []).append(float(bench["real_time"]))
+    return {name: statistics.median(ts) for name, ts in samples.items()}
 
 
 def main():
