@@ -156,14 +156,15 @@ uint64_t MakeCandidate(const ParallelConfig& base, const OpGraph& graph,
       stage.ops[static_cast<size_t>(round) % stage.ops.size()];
   setting.recompute = !setting.recompute;
   // The deep-copy baseline also pays the pre-CoW from-scratch hash; the CoW
-  // path recombines the base config's cached prefix.
+  // path re-packs the mutated stage's words and folds the other stages'
+  // cached ones.
   return kDeepCopy ? next.SemanticHashUncached(graph)
                    : next.SemanticHash(graph);
 }
 
-// Arg: the stage to mutate, or -1 to rotate through all stages (the
-// average case; the incremental hash refolds from the mutated stage on, so
-// late stages are the best case and stage 0 the worst).
+// Arg: the stage to mutate, or -1 to rotate through all stages. Every hash
+// folds all stages' words, so the stage mutated matters only through the
+// size of the stage whose words are re-packed.
 template <bool kDeepCopy>
 void CandidateConstructionBench(benchmark::State& state) {
   BigFixture f;
@@ -217,8 +218,9 @@ void BM_ConfigCopyDeep(benchmark::State& state) {
 }
 BENCHMARK(BM_ConfigCopyDeep);
 
-// Re-hash after a single-stage mutation: incremental prefix recombination
-// vs the from-scratch reference walk.
+// Re-hash after a single-stage mutation: the mutated stage re-packs its
+// words and every other stage folds its cached ones, vs the from-scratch
+// reference walk.
 template <bool kUncached>
 void RehashBench(benchmark::State& state) {
   BigFixture f;
@@ -237,10 +239,10 @@ void RehashBench(benchmark::State& state) {
   }
 }
 
-void BM_RehashAfterMutationIncremental(benchmark::State& state) {
+void BM_RehashAfterMutation(benchmark::State& state) {
   RehashBench<false>(state);
 }
-BENCHMARK(BM_RehashAfterMutationIncremental);
+BENCHMARK(BM_RehashAfterMutation);
 
 void BM_RehashAfterMutationUncached(benchmark::State& state) {
   RehashBench<true>(state);
@@ -252,7 +254,7 @@ BENCHMARK(BM_RehashAfterMutationUncached);
 // FixRecompute on a stage a primitive just rebuilt, as candidate
 // construction runs it: each iteration copies one of two base configs that
 // differ in that stage and clones the stage (a fresh block with no cached
-// words or walk plan), against a one-entry stage cache, so a fix-up that
+// words or segmentation), against a one-entry stage cache, so a fix-up that
 // reads the stage's cost pays what the search pays on a stage-cache miss:
 // the stage hash, the walk and the insert. Arg 0: a deepnet-256 stage on a
 // device an eighth too small (the add-recompute pass). Arg 1: a fully
@@ -320,7 +322,7 @@ BENCHMARK(BM_FixRecompute)->Arg(0)->Arg(1);
 // §12): Validate's per-op checks, the Eq. 1 memory pass the recompute
 // fix-up reads, and the stage-cost walk on a stage-cache miss. Each
 // iteration copies one of two sibling configs and clones the stage, so the
-// pass meets a fresh block (no cached segmentation, words or walk plan), as
+// pass meets a fresh block (no cached segmentation or words), as
 // it does on a new candidate; the copy and clone are part of the time.
 // Arg 0: stage 1 of deepnet-256 on 16 GPUs in 4 stages at tp 2, with
 // recompute on one op (the MLP's first matmul) of every layer — periodic,
@@ -397,8 +399,8 @@ void BM_ValidateStage(benchmark::State& state) {
 BENCHMARK(BM_ValidateStage)->Arg(0)->Arg(1)->Arg(2);
 
 // A stage-cache miss on a fresh block, as the search pays it for a new
-// candidate: the stage hash, the walk plan, the (warm) op-memo walk and the
-// insert, against a one-entry stage cache the two siblings evict from each
+// candidate: the stage hash, the segmentation, the (warm) op-memo walk and
+// the insert, against a one-entry stage cache the two siblings evict from each
 // other.
 void BM_FreshStageCost(benchmark::State& state) {
   StagePassFixture f(static_cast<int>(state.range(0)));

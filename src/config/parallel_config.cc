@@ -149,9 +149,6 @@ const StageBlock::WordCache* StageBlock::Cache(const OpGraph& graph) const {
   if (fresh == nullptr) {
     fresh = new WordCache;
   }
-  // A parked buffer may still carry the annotation from its pre-mutation
-  // life; the words it described are gone, so it goes too.
-  delete fresh->annotation.exchange(nullptr, std::memory_order_acq_rel);
   fresh->graph = &graph;
   ComputeWords(graph, config_, fresh->words);
   fresh->digest = FoldWords(kFnvOffsetBasis, fresh->words);
@@ -184,31 +181,6 @@ uint64_t StageBlock::OpWordsDigest(const OpGraph& graph) const {
   return FoldWords(kFnvOffsetBasis, words);
 }
 
-const StageAnnotation* StageBlock::Annotation(const OpGraph& graph) const {
-  const WordCache* cache = words_.load(std::memory_order_acquire);
-  if (cache == nullptr || cache->graph != &graph) {
-    return nullptr;
-  }
-  return cache->annotation.load(std::memory_order_acquire);
-}
-
-const StageAnnotation* StageBlock::PublishAnnotation(
-    const OpGraph& graph, StageAnnotation* annotation) const {
-  const WordCache* cache = words_.load(std::memory_order_acquire);
-  if (cache == nullptr || cache->graph != &graph) {
-    delete annotation;
-    return nullptr;
-  }
-  const StageAnnotation* expected = nullptr;
-  if (cache->annotation.compare_exchange_strong(expected, annotation,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire)) {
-    return annotation;
-  }
-  delete annotation;
-  return expected;
-}
-
 uint64_t StageBlock::FoldOpWords(const OpGraph& graph, uint64_t state) const {
   if (const std::vector<uint64_t>* words = OpWords(graph)) {
     return FoldWords(state, *words);
@@ -220,85 +192,7 @@ uint64_t StageBlock::FoldOpWords(const OpGraph& graph, uint64_t state) const {
   return FoldWords(state, words);
 }
 
-// ----- ParallelConfig: special members -----
-
-ParallelConfig::ParallelConfig() = default;
-
-ParallelConfig::ParallelConfig(const ParallelConfig& other) {
-  // Lock the source: copying a config while another thread hashes it must
-  // see a consistent prefix cache. Shares every stage block (the CoW win).
-  std::lock_guard<std::mutex> lock(other.sem_mu_);
-  microbatch_size_ = other.microbatch_size_;
-  stages_ = other.stages_;
-  sem_graph_ = other.sem_graph_;
-  sem_valid_ = other.sem_valid_;
-  std::copy_n(other.sem_prefix_.begin(),
-              std::min(sem_valid_, sem_prefix_.size()), sem_prefix_.begin());
-}
-
-ParallelConfig& ParallelConfig::operator=(const ParallelConfig& other) {
-  if (this == &other) {
-    return *this;
-  }
-  // Assignment mutates *this, which the contract makes exclusive; only the
-  // source needs locking.
-  std::lock_guard<std::mutex> lock(other.sem_mu_);
-  microbatch_size_ = other.microbatch_size_;
-  stages_ = other.stages_;
-  sem_graph_ = other.sem_graph_;
-  sem_valid_ = other.sem_valid_;
-  std::copy_n(other.sem_prefix_.begin(),
-              std::min(sem_valid_, sem_prefix_.size()), sem_prefix_.begin());
-  return *this;
-}
-
-ParallelConfig::ParallelConfig(ParallelConfig&& other) noexcept
-    : microbatch_size_(other.microbatch_size_),
-      stages_(std::move(other.stages_)),
-      sem_graph_(other.sem_graph_),
-      sem_valid_(other.sem_valid_) {
-  std::copy_n(other.sem_prefix_.begin(),
-              std::min(sem_valid_, sem_prefix_.size()), sem_prefix_.begin());
-  other.sem_valid_ = 0;
-}
-
-ParallelConfig& ParallelConfig::operator=(ParallelConfig&& other) noexcept {
-  if (this == &other) {
-    return *this;
-  }
-  microbatch_size_ = other.microbatch_size_;
-  stages_ = std::move(other.stages_);
-  sem_graph_ = other.sem_graph_;
-  sem_valid_ = other.sem_valid_;
-  std::copy_n(other.sem_prefix_.begin(),
-              std::min(sem_valid_, sem_prefix_.size()), sem_prefix_.begin());
-  other.sem_valid_ = 0;
-  return *this;
-}
-
 // ----- ParallelConfig: mutation -----
-
-void ParallelConfig::InvalidateSemanticPrefix(int stage_index) {
-  // No lock: mutation requires exclusive access (file-header contract), so
-  // no concurrent hasher can be reading the prefix state here, and taking
-  // sem_mu_ would only tax the candidate-construction hot path.
-  if (stage_index < 0) {
-    sem_valid_ = 0;
-    return;
-  }
-  // Prefix entries [0, stage_index] (header + stages before the mutated
-  // one) stay valid; everything folded from the mutated stage on is stale.
-  sem_valid_ =
-      std::min(sem_valid_, static_cast<size_t>(stage_index) + 1);
-}
-
-void ParallelConfig::set_microbatch_size(int mbs) {
-  if (mbs == microbatch_size_) {
-    return;
-  }
-  microbatch_size_ = mbs;
-  InvalidateSemanticPrefix(-1);  // folded into the header of every hash
-}
 
 StageConfig& ParallelConfig::MutableStage(int i) {
   std::shared_ptr<StageBlock>& block = stages_.at(static_cast<size_t>(i));
@@ -306,15 +200,11 @@ StageConfig& ParallelConfig::MutableStage(int i) {
     // Shared with another config: clone before writing (copy-on-write).
     block = std::make_shared<StageBlock>(*block);
   }
-  InvalidateSemanticPrefix(i);
   return block->BeginMutation();
 }
 
 void ParallelConfig::AddStage(StageConfig stage) {
   stages_.push_back(std::make_shared<StageBlock>(std::move(stage)));
-  // The stage count is folded into the hash header, so the whole prefix is
-  // stale, not just the new tail entry.
-  InvalidateSemanticPrefix(-1);
 }
 
 ParallelConfig ParallelConfig::DeepCopy() const {
@@ -494,50 +384,18 @@ void HashStageOps(const OpGraph& graph, const StageConfig& stage, Hasher& h) {
 
 }  // namespace
 
-uint64_t ParallelConfig::FoldStage(const OpGraph& graph, uint64_t state,
-                                   int stage_index) const {
-  const StageBlock& block = *stages_[static_cast<size_t>(stage_index)];
-  const StageConfig& stage = block.config();
-  state = HashCombine(state, static_cast<uint64_t>(stage.num_ops));
-  state = HashCombine(state, static_cast<uint64_t>(stage.num_devices));
-  return block.FoldOpWords(graph, state);
-}
-
 uint64_t ParallelConfig::SemanticHash(const OpGraph& graph) const {
-  const size_t n = stages_.size();
-  std::lock_guard<std::mutex> lock(sem_mu_);
-  if (sem_graph_ != &graph) {
-    sem_graph_ = &graph;
-    sem_valid_ = 0;
+  // Same fields, same order as SemanticHashUncached.
+  uint64_t state = kFnvOffsetBasis;
+  state = HashCombine(state, static_cast<uint64_t>(microbatch_size_));
+  state = HashCombine(state, static_cast<uint64_t>(num_stages()));
+  for (const std::shared_ptr<StageBlock>& block : stages_) {
+    state = HashCombine(state, static_cast<uint64_t>(block->config().num_ops));
+    state = HashCombine(state,
+                        static_cast<uint64_t>(block->config().num_devices));
+    state = block->FoldOpWords(graph, state);
   }
-  if (n > kMaxCachedStages) {
-    // Past the inline prefix: refold everything each call. The per-stage
-    // word caches still apply, so this stays cheaper than the reference
-    // walk; only the prefix reuse is lost.
-    uint64_t state = kFnvOffsetBasis;
-    state = HashCombine(state, static_cast<uint64_t>(microbatch_size_));
-    state = HashCombine(state, static_cast<uint64_t>(static_cast<int>(n)));
-    for (size_t k = 0; k < n; ++k) {
-      state = FoldStage(graph, state, static_cast<int>(k));
-    }
-    return state;
-  }
-  if (sem_valid_ == 0) {
-    // Header: same fields, same order as SemanticHashUncached.
-    uint64_t state = kFnvOffsetBasis;
-    state = HashCombine(state, static_cast<uint64_t>(microbatch_size_));
-    state = HashCombine(state, static_cast<uint64_t>(static_cast<int>(n)));
-    sem_prefix_[0] = state;
-    sem_valid_ = 1;
-  }
-  // Re-fold from the first stale stage only; each step reuses the stage
-  // block's cached op words when present.
-  for (size_t k = sem_valid_; k <= n; ++k) {
-    sem_prefix_[k] =
-        FoldStage(graph, sem_prefix_[k - 1], static_cast<int>(k - 1));
-  }
-  sem_valid_ = n + 1;
-  return sem_prefix_[n];
+  return state;
 }
 
 uint64_t ParallelConfig::StageSemanticHash(const OpGraph& graph,
@@ -567,17 +425,6 @@ StageRunList ParallelConfig::StageRuns(const OpGraph& graph, int stage_index,
                                        bool compress) const {
   const StageBlock& block = *stages_.at(static_cast<size_t>(stage_index));
   return compress ? block.Runs(graph) : StageRunList(block.config().num_ops);
-}
-
-const StageAnnotation* ParallelConfig::StageWordAnnotation(
-    const OpGraph& graph, int stage_index) const {
-  return stages_.at(static_cast<size_t>(stage_index))->Annotation(graph);
-}
-
-const StageAnnotation* ParallelConfig::PublishStageWordAnnotation(
-    const OpGraph& graph, int stage_index, StageAnnotation* annotation) const {
-  return stages_.at(static_cast<size_t>(stage_index))
-      ->PublishAnnotation(graph, annotation);
 }
 
 const std::vector<uint64_t>* ParallelConfig::StageOpWords(

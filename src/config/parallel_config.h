@@ -13,10 +13,10 @@
 // immutable blocks (StageBlock): copying a ParallelConfig copies #stages
 // pointers, and MutableStage(i) clones stage i on first write while every
 // untouched stage stays shared with the parent. Each block lazily caches the
-// packed per-op hash words of its stage, and the config carries an
-// incremental prefix of its whole-config semantic hash, so re-hashing a
-// candidate recomputes only the mutated stages — the cached-hash values are
-// bit-identical to the from-scratch *Uncached reference implementations.
+// packed per-op hash words of its stage, so re-hashing a candidate packs
+// words only for the mutated stages and folds the cached words of the rest
+// — the cached-hash values are bit-identical to the from-scratch *Uncached
+// reference implementations.
 //
 // Mutation contract: MutableStage(i) (and MutableOpSettings, which routes
 // through it) requires exclusive access to the config, and the returned
@@ -28,11 +28,9 @@
 #ifndef SRC_CONFIG_PARALLEL_CONFIG_H_
 #define SRC_CONFIG_PARALLEL_CONFIG_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -123,17 +121,6 @@ class StageRunList {
   StageRun whole_;
 };
 
-// Opaque payload a higher layer attaches to a stage's word cache — in
-// practice the cost model's walk plan (DESIGN.md §12): per-op data derived
-// purely from (graph, stage settings), exactly what the word cache already
-// pins. The annotation shares the word cache's lifetime: it is dropped when
-// the stage is mutated and rebuilt lazily afterwards, so a published
-// annotation is always consistent with the published words.
-class StageAnnotation {
- public:
-  virtual ~StageAnnotation() = default;
-};
-
 // A shareable pipeline-stage block: the stage data plus a lazily computed
 // cache of its packed per-op hash words. Blocks are logically immutable
 // while shared; ParallelConfig::MutableStage() clones a shared block before
@@ -180,26 +167,11 @@ class StageBlock {
   // for a different graph is already published.
   StageRunList Runs(const OpGraph& graph) const;
 
-  // The annotation attached to this block's word cache for `graph`, or
-  // nullptr when no words (or words for a different graph) are published.
-  const StageAnnotation* Annotation(const OpGraph& graph) const;
-
-  // Publish-once attach, taking ownership of `annotation` in every case:
-  // returns the surviving annotation — the argument if this call won the
-  // race, the incumbent if a concurrent reader published first (the
-  // argument is freed) — or nullptr (argument freed) when no word cache for
-  // `graph` is published to hang it on.
-  const StageAnnotation* PublishAnnotation(const OpGraph& graph,
-                                           StageAnnotation* annotation) const;
-
  private:
   struct WordCache {
-    ~WordCache() { delete annotation.load(std::memory_order_acquire); }
     const OpGraph* graph = nullptr;
     std::vector<uint64_t> words;  // one PackOpSemanticWord() per op
     uint64_t digest = 0;          // OpWordsDigest() of `words`
-    // See StageAnnotation: publish-once, freed with the cache.
-    mutable std::atomic<const StageAnnotation*> annotation{nullptr};
   };
 
   static void ComputeWords(const OpGraph& graph, const StageConfig& config,
@@ -228,14 +200,8 @@ class StageBlock {
 
 class ParallelConfig {
  public:
-  ParallelConfig();
-  ParallelConfig(const ParallelConfig& other);
-  ParallelConfig& operator=(const ParallelConfig& other);
-  ParallelConfig(ParallelConfig&& other) noexcept;
-  ParallelConfig& operator=(ParallelConfig&& other) noexcept;
-
   int microbatch_size() const { return microbatch_size_; }
-  void set_microbatch_size(int mbs);
+  void set_microbatch_size(int mbs) { microbatch_size_ = mbs; }
 
   int num_stages() const { return static_cast<int>(stages_.size()); }
   const StageConfig& stage(int i) const {
@@ -243,9 +209,9 @@ class ParallelConfig {
   }
 
   // Copy-on-write mutator: clones stage i's block if it is shared with
-  // another config, invalidates the hash caches from stage i on, and
-  // returns the (now uniquely owned) stage for in-place mutation. See the
-  // mutation contract in the file header.
+  // another config, drops its cached hash words, and returns the (now
+  // uniquely owned) stage for in-place mutation. See the mutation contract
+  // in the file header.
   StageConfig& MutableStage(int i);
 
   // Appends a stage (configuration builders).
@@ -331,10 +297,9 @@ class ParallelConfig {
   // Configuration-semantic hash for deduplication (§4.3): equal iff the
   // stage partition, per-op settings, and microbatch size are equal.
   // Partition dimensions of ops whose tp == 1 are canonicalized away.
-  // Incremental: the fold state after each stage is cached, so re-hashing
-  // after a localized mutation recombines the cached prefix with the
-  // mutated stages' (cached-word) folds instead of re-walking every op.
-  // Bit-identical to SemanticHashUncached() always.
+  // Folds the header and each stage's header and cached op words (see
+  // StageBlock::FoldOpWords), so only stages mutated since their last hash
+  // re-pack words. Bit-identical to SemanticHashUncached() always.
   uint64_t SemanticHash(const OpGraph& graph) const;
 
   // Key for the incremental stage-cost cache: hashes everything
@@ -368,14 +333,6 @@ class ParallelConfig {
   StageRunList StageRuns(const OpGraph& graph, int stage_index,
                          bool compress = true) const;
 
-  // Pass-throughs to StageBlock::Annotation / PublishAnnotation for stage
-  // `stage_index` (see StageAnnotation): derived-data cache slot whose
-  // lifetime is tied to the stage's word cache.
-  const StageAnnotation* StageWordAnnotation(const OpGraph& graph,
-                                             int stage_index) const;
-  const StageAnnotation* PublishStageWordAnnotation(
-      const OpGraph& graph, int stage_index, StageAnnotation* annotation) const;
-
   // Reference implementations that ignore every cache and recompute from
   // the raw per-op settings. The cached variants above must agree with
   // these bit-for-bit (property-tested); they exist to make that guarantee
@@ -392,33 +349,8 @@ class ParallelConfig {
   std::string ShortString() const;
 
  private:
-  // Folds one stage's header (num_ops, num_devices) and op words — the
-  // per-stage step of the whole-config hash.
-  uint64_t FoldStage(const OpGraph& graph, uint64_t state,
-                     int stage_index) const;
-
-  // Drops cached whole-config hash state from stage `stage_index` on
-  // (mutation entry point). Negative index drops everything.
-  void InvalidateSemanticPrefix(int stage_index);
-
   int microbatch_size_ = 1;
   std::vector<std::shared_ptr<StageBlock>> stages_;
-
-  // Incremental whole-config hash state: sem_prefix_[k] is the fold state
-  // after the header (microbatch size, stage count) and stages [0, k);
-  // sem_valid_ counts the leading entries that are current. The prefix is
-  // a fixed inline array so config copies never allocate for it — configs
-  // with more than kMaxCachedStages stages (the search caps at 12) skip
-  // prefix caching and refold from the header (still using cached words).
-  // Guarded by sem_mu_ against concurrent const hashing; mutators adjust
-  // sem_valid_ without contention concerns (mutation is exclusive by
-  // contract, but they still take the lock — mutation is far off the hash
-  // hot path).
-  static constexpr size_t kMaxCachedStages = 15;
-  mutable std::mutex sem_mu_;
-  mutable const OpGraph* sem_graph_ = nullptr;
-  mutable std::array<uint64_t, kMaxCachedStages + 1> sem_prefix_{};
-  mutable size_t sem_valid_ = 0;
 };
 
 // ----- Initial configuration generators (§5.1, Exp#7) -----

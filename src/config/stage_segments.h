@@ -7,7 +7,7 @@
 // the stage finds the stretches where that holds and cuts the stage into
 // blocks, each walked once and counted `reps` times. Every per-op pass over
 // a new stage — Validate's checks, the Eq. 1 memory pass, the recompute
-// fix-up's scans and the cost model's walk plan — materializes one block
+// fix-up's scans and the cost model's stage walk — materializes one block
 // per run and replays the rest.
 
 #ifndef SRC_CONFIG_STAGE_SEGMENTS_H_

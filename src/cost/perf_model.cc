@@ -278,76 +278,6 @@ StageCost AggregateStageCost(const StageWalk& walk) {
   return cost;
 }
 
-namespace {
-
-// ----- Walk plan (DESIGN.md §12) -----
-//
-// Everything about one stage's walk that is independent of placement
-// context (microbatch size, device count, rank within the node): the
-// stage's segmentation, and for each op it materializes the memo-key core
-// and the walk state entering it (layout, dp-reshard bit). All of it is a
-// pure function of (graph, stage settings) — exactly what the stage's word
-// cache pins — so the plan is attached to that cache as a StageAnnotation
-// and reused until the stage mutates. Placement context re-enters per walk:
-// an op's memo key is HashCombine(base, core) with `base` folding the
-// context.
-struct WalkPlan : StageAnnotation {
-  struct Op {
-    int index = 0;               // within the stage
-    bool mismatch = false;       // dp-reshard bit entering the op
-    ActivationLayout layout;     // layout entering the op
-    uint64_t core = 0;           // memo-key core
-  };
-  std::vector<StageRun> runs;  // the stage segmentation, in walk order
-  std::vector<Op> ops;         // each block's ops, walked once, in order
-};
-
-// Fills `plan` for one stage walked as `runs`. `words`, when not null,
-// holds the packed semantic word of each of the stage's ops (the block's
-// word cache); the materialized ops pack their own otherwise.
-void BuildWalkPlan(const OpGraph& graph, const StageConfig& stage,
-                   StageRunList runs, const uint64_t* words, WalkPlan& plan) {
-  const uint64_t* sigs =
-      graph.op_signatures().data() + static_cast<size_t>(stage.first_op);
-  plan.runs.assign(runs.begin(), runs.end());
-  int materialized = 0;
-  for (const StageRun& run : runs) {
-    materialized += run.period;
-  }
-  plan.ops.clear();
-  plan.ops.reserve(static_cast<size_t>(materialized));
-  // The walk state after a block's ops is the state after all of its
-  // repetitions: each repetition enters in the state the first one did.
-  ActivationLayout layout;
-  int prev_dp = 0;
-  for (const StageRun& run : runs) {
-    for (int i = run.start; i < run.start + run.period; ++i) {
-      const Operator& op = graph.op(stage.first_op + i);
-      const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
-      const bool dp_mismatch = prev_dp != 0 && prev_dp != setting.dp;
-      // Memo-key core: the operator signature, packed semantic word,
-      // incoming layout state, and the dp-reshard bit — together with the
-      // placement base they pin every input ComputeOpBreakdown reads, so
-      // equal keys mean bit-equal breakdowns. The Mix64 finalizer gives the
-      // core full avalanche: sibling stages' bases differ in only a few
-      // bits, and composing a *structured* core with them through one
-      // HashCombine round has produced real cross-stage key collisions.
-      const uint64_t word = words != nullptr
-                                ? words[i]
-                                : PackOpSemanticWord(op, setting);
-      uint64_t core = HashCombine(sigs[i], word);
-      core = HashCombine(core,
-                         layout.sharded ? static_cast<uint64_t>(layout.tp) : 0);
-      core = HashCombine(core, dp_mismatch ? 1 : 0);
-      plan.ops.push_back(WalkPlan::Op{i, dp_mismatch, layout, Mix64(core)});
-      layout = AdvanceLayout(op, setting, layout);
-      prev_dp = setting.dp;
-    }
-  }
-}
-
-}  // namespace
-
 StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
                                              int stage_index) const {
   const bool memo_on = op_memo_.enabled();
@@ -362,6 +292,8 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   const CommDomain stage_domain{
       stage.num_devices,
       cluster_.GroupCrossesNodes(first_device, stage.num_devices, 1)};
+  const uint64_t* sigs =
+      graph_->op_signatures().data() + static_cast<size_t>(stage.first_op);
 
   // Per-op semantic words: reuse the stage block's cache (already paid for
   // by hashing); the different-graph fallback packs them per op.
@@ -369,32 +301,6 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
       config.StageOpWords(*graph_, stage_index);
   const uint64_t* words =
       cached_words != nullptr ? cached_words->data() : nullptr;
-
-  // Fetch the stage's walk plan, building and attaching it on first use.
-  // The published plan is always built with compression on, and only read
-  // when this model walks compressed; the memo-only walk derives a local
-  // plan so both modes funnel through one consumption loop. The annotation
-  // slot holds WalkPlans exclusively (this file is its only publisher), so
-  // the static_cast back is safe.
-  const WalkPlan* plan = nullptr;
-  WalkPlan local_plan;
-  if (run_compression_ && cached_words != nullptr) {
-    plan = static_cast<const WalkPlan*>(
-        config.StageWordAnnotation(*graph_, stage_index));
-    if (plan == nullptr) {
-      auto* fresh = new WalkPlan;
-      BuildWalkPlan(*graph_, stage, config.StageRuns(*graph_, stage_index),
-                    words, *fresh);
-      plan = static_cast<const WalkPlan*>(
-          config.PublishStageWordAnnotation(*graph_, stage_index, fresh));
-    }
-  }
-  if (plan == nullptr) {
-    BuildWalkPlan(*graph_, stage,
-                  config.StageRuns(*graph_, stage_index, run_compression_),
-                  words, local_plan);
-    plan = &local_plan;
-  }
 
   // Placement context, folded once per walk; op i's memo key is
   // HashCombine(base, core[i]) (DESIGN.md §12).
@@ -404,28 +310,50 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
                             .Add(first_device % cluster_.gpus_per_node)
                             .Digest();
 
-  // One op's breakdown: memo hit, or derive (into `tmp`) and publish.
+  // The walk state entering the next materialized op. The state after a
+  // block's ops is the state after all of its repetitions: each repetition
+  // enters in the state the first one did.
+  ActivationLayout layout;  // activations enter a stage replicated
+  int prev_dp = 0;          // 0 = no previous op
+
+  // Op i's breakdown, advancing the walk state past it: memo hit, or derive
+  // (into `scratch`) and publish.
   OpBreakdown scratch;
-  auto breakdown_at = [&](const WalkPlan::Op& plan_op,
-                          OpBreakdown& tmp) -> const OpBreakdown* {
-    const uint64_t key = HashCombine(base, plan_op.core);
+  auto breakdown_at = [&](int i) -> const OpBreakdown& {
+    const Operator& op = graph_->op(stage.first_op + i);
+    const OpParallel& setting = stage.ops[static_cast<size_t>(i)];
+    const ActivationLayout in_layout = layout;
+    const bool dp_mismatch = prev_dp != 0 && prev_dp != setting.dp;
+    layout = AdvanceLayout(op, setting, layout);
+    prev_dp = setting.dp;
+    // Memo-key core: the operator signature, packed semantic word,
+    // incoming layout state, and the dp-reshard bit — together with the
+    // placement base they pin every input ComputeOpBreakdown reads, so
+    // equal keys mean bit-equal breakdowns. The Mix64 finalizer gives the
+    // core full avalanche: sibling stages' bases differ in only a few
+    // bits, and composing a *structured* core with them through one
+    // HashCombine round has produced real cross-stage key collisions.
+    const uint64_t word =
+        words != nullptr ? words[i] : PackOpSemanticWord(op, setting);
+    uint64_t core = HashCombine(sigs[i], word);
+    core = HashCombine(
+        core, in_layout.sharded ? static_cast<uint64_t>(in_layout.tp) : 0);
+    core = HashCombine(core, dp_mismatch ? 1 : 0);
+    const uint64_t key = HashCombine(base, Mix64(core));
     if (memo_on) {
       if (const OpBreakdown* hit = op_memo_.Lookup(key)) {
-        return hit;
+        return *hit;
       }
     }
-    const int op_index = stage.first_op + plan_op.index;
-    tmp = ComputeOpBreakdown(
-        *db_, cluster_, graph_->op(op_index),
-        graph_->op_signatures()[static_cast<size_t>(op_index)],
-        stage.ops[static_cast<size_t>(plan_op.index)], precision, mbs,
-        first_device, stage_domain, plan_op.layout, plan_op.mismatch);
+    scratch = ComputeOpBreakdown(*db_, cluster_, op, sigs[i], setting,
+                                 precision, mbs, first_device, stage_domain,
+                                 in_layout, dp_mismatch);
     if (memo_on) {
-      if (const OpBreakdown* published = op_memo_.Insert(key, tmp)) {
-        return published;
+      if (const OpBreakdown* published = op_memo_.Insert(key, scratch)) {
+        return *published;
       }
     }
-    return &tmp;
+    return scratch;
   };
 
   // Bit-exactness contract: this function must reproduce
@@ -470,19 +398,19 @@ StageCost PerformanceModel::ComputeStageCost(const ParallelConfig& config,
   };
   std::vector<RunOp> block;
 
-  const WalkPlan::Op* plan_op = plan->ops.data();
-  for (const StageRun& run : plan->runs) {
+  for (const StageRun& run :
+       config.StageRuns(*graph_, stage_index, run_compression_)) {
     if (run.reps == 1) {
-      for (int j = 0; j < run.period; ++j) {
-        accumulate(*breakdown_at(*plan_op++, scratch));
+      for (int i = run.start; i < run.end(); ++i) {
+        accumulate(breakdown_at(i));
       }
       continue;
     }
     block.clear();
     block.reserve(static_cast<size_t>(run.period));
     StageCost period_memory;  // the period's integer fields, added reps times
-    for (int j = 0; j < run.period; ++j) {
-      const OpBreakdown& op = *breakdown_at(*plan_op++, scratch);
+    for (int i = run.start; i < run.start + run.period; ++i) {
+      const OpBreakdown& op = breakdown_at(i);
       RunOp run_op;
       run_op.fwd = op.fwd_kernel + op.fwd_comm;
       run_op.bwd = op.bwd_kernel + op.bwd_comm;

@@ -14,9 +14,12 @@
 // (the maximum per-op working set in the stage) to avoid declaring OOM
 // configurations feasible.
 //
-// Evaluation is O(#ops) per configuration with all operator and collective
-// times memoized in the shared ProfileDatabase; the search calls Evaluate()
-// tens of thousands of times per run.
+// The search calls Evaluate() tens of thousands of times per run. It walks
+// only the stages the stage-cost cache (keyed by StageSemanticHash) misses;
+// a walk materializes one block per run of the stage's periodic
+// segmentation, and each op's breakdown comes from the op memo or, on a
+// memo miss, from operator and collective times in the shared
+// ProfileDatabase.
 
 #ifndef SRC_COST_PERF_MODEL_H_
 #define SRC_COST_PERF_MODEL_H_

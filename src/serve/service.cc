@@ -22,6 +22,9 @@ namespace aceso {
 namespace serve {
 namespace {
 
+// Max convergence points embedded in a response payload.
+constexpr size_t kConvergenceCap = 64;
+
 std::string JoinZooNames() {
   std::string out;
   for (const std::string& name : models::ZooNames()) {
@@ -102,8 +105,7 @@ struct PlanService::Inflight {
 PlanService::PlanService(ServeOptions options)
     : options_(std::move(options)),
       pool_(PoolThreads(options_)),
-      cache_(PlanCacheOptions{options_.plan_cache_capacity,
-                              options_.plan_cache_max_derived}) {}
+      cache_(PlanCacheOptions{options_.plan_cache_capacity}) {}
 
 PlanService::~PlanService() {
   // Drain outstanding search jobs before the members they reference die.
@@ -382,8 +384,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
   }
   ProfileDatabase* db = DbForCluster(cluster);
 
-  const size_t convergence_cap = options_.convergence_cap;
-  pool_.Submit([this, state, job, key, db, convergence_cap] {
+  pool_.Submit([this, state, job, key, db] {
     Status st;
     std::shared_ptr<const std::string> payload;
     bool found = false;
@@ -396,7 +397,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
           neighbor_seed ? SeededSearch(model, state->options, key)
                         : AcesoSearch(model, state->options);
       payload = std::make_shared<const std::string>(BuildPlanPayload(
-          *state->graph, state->cluster, result, convergence_cap));
+          *state->graph, state->cluster, result, kConvergenceCap));
       found = result.found;
       iteration_time = result.found ? result.best.perf.iteration_time : 0.0;
       if (neighbor_seed && result.found) {

@@ -53,10 +53,6 @@ struct ServeOptions {
   // Plan cache entries (0 disables the cache).
   size_t plan_cache_capacity = 64;
 
-  // Derived sweep-payload variants kept per cache entry (PlanCacheOptions::
-  // max_derived_payloads).
-  size_t plan_cache_max_derived = 8;
-
   // Neighbor-seeded incremental planning (DESIGN.md §17): on a plan-cache
   // miss, probe the similarity index for the nearest cached neighbor plan,
   // adapt it to the request (src/core/seed_adapt.h), and start the search
@@ -73,9 +69,6 @@ struct ServeOptions {
   // `profile_<fingerprint>.apdb` when present; SaveProfiles() writes there
   // by default.
   std::string snapshot_dir;
-
-  // Max convergence points embedded in a response payload.
-  size_t convergence_cap = 64;
 
   // ---- HTTP transport knobs (consumed by PlanDaemon / HttpServerOptions,
   // carried here so one options struct configures the whole daemon) ----

@@ -418,43 +418,6 @@ TEST_F(ValidateMessageTest, StageFilterScopesOnlyPerOpChecks) {
   EXPECT_FALSE(gap.Validate(graph_, cluster_, &none).ok());
 }
 
-struct TagAnnotation : StageAnnotation {
-  explicit TagAnnotation(int tag) : tag(tag) {}
-  int tag;
-};
-
-TEST_F(ConfigTest, StageAnnotationPublishesOnceAndDiesWithWordCache) {
-  auto config = MakeEvenConfig(graph_, cluster_, 2, 1);
-  ASSERT_TRUE(config.ok());
-  // No word cache yet: nothing to hang an annotation on.
-  EXPECT_EQ(config->StageWordAnnotation(graph_, 0), nullptr);
-  EXPECT_EQ(
-      config->PublishStageWordAnnotation(graph_, 0, new TagAnnotation(1)),
-      nullptr);
-  // Hashing fills the word cache; the first publish wins, later ones read
-  // the incumbent back.
-  config->SemanticHash(graph_);
-  const StageAnnotation* won =
-      config->PublishStageWordAnnotation(graph_, 0, new TagAnnotation(2));
-  ASSERT_NE(won, nullptr);
-  EXPECT_EQ(static_cast<const TagAnnotation*>(won)->tag, 2);
-  const StageAnnotation* second =
-      config->PublishStageWordAnnotation(graph_, 0, new TagAnnotation(3));
-  EXPECT_EQ(second, won);
-  EXPECT_EQ(config->StageWordAnnotation(graph_, 0), won);
-  // Copies share the block, and with it the annotation.
-  const ParallelConfig copy = *config;
-  EXPECT_EQ(copy.StageWordAnnotation(graph_, 0), won);
-  // Mutation drops the annotation along with the words it described; the
-  // unmutated copy keeps its (shared, still-valid) annotation.
-  config->MutableStage(1);
-  EXPECT_EQ(config->StageWordAnnotation(graph_, 0), won);  // stage 0 intact
-  config->MutableStage(0);
-  config->SemanticHash(graph_);
-  EXPECT_EQ(config->StageWordAnnotation(graph_, 0), nullptr);
-  EXPECT_EQ(copy.StageWordAnnotation(graph_, 0), won);
-}
-
 TEST_F(ConfigTest, SemanticHashStableAcrossCopies) {
   auto config = MakeEvenConfig(graph_, cluster_, 4, 1);
   ASSERT_TRUE(config.ok());
