@@ -177,10 +177,8 @@ int main(int argc, char** argv) {
 
     // Adapt the base plan to this scenario (what the serving layer does on
     // a neighbor-seeded miss), then search from it at the same budget.
-    SeedAdaptOptions adapt_options;
-    adapt_options.memory_limit_bytes = scenario.memory_budget;
     auto adapted = AdaptSeedConfig(model, base_result.best.config,
-                                   adapt_options);
+                                   EffectiveMemoryLimit(options, cluster));
     if (!adapted.ok()) {
       table.AddRow({scenario.name, "no adapt", FormatDouble(final_time, 3),
                     "-", "-", "-", "-", "FAIL"});

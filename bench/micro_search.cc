@@ -301,14 +301,14 @@ void BM_FixRecompute(benchmark::State& state) {
   for (auto _ : state) {
     ParallelConfig candidate = *bases[round++ & 1];
     candidate.MutableStage(stage);
-    FixRecompute(model, candidate, stage);
+    FixRecompute(model, candidate, stage, limit);
     benchmark::DoNotOptimize(candidate);
   }
   state.counters["profile_lookups"] = benchmark::Counter(
       static_cast<double>(db.stats().lookups - lookups_before),
       benchmark::Counter::kAvgIterations);
   ParallelConfig fixed = base;
-  FixRecompute(model, fixed, stage);
+  FixRecompute(model, fixed, stage, limit);
   state.SetLabel(std::string(release ? "release" : "add") + ", " +
                  std::to_string(base.stage(stage).num_ops) + " ops, " +
                  std::to_string(fixed.stage(stage).NumRecomputed()) +

@@ -163,14 +163,13 @@ double EstimateOpTime(const PerformanceModel& model, int op_index,
 }
 
 void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
-                  int stage_index) {
+                  int stage_index, int64_t limit) {
   if (stage_index < 0 || stage_index >= config.num_stages()) {
     return;
   }
   // The fix reads one number, this stage's Eq. 1 memory, from an
   // integer-only pass: no stage-cost walk, no cache probe (DESIGN.md §18).
   const int64_t memory = model.StageMemory(config, stage_index);
-  const int64_t limit = model.cluster().gpu.memory_bytes;
   const StageConfig& stage = config.stage(stage_index);
   const int64_t in_flight =
       std::max(1, config.num_stages() - stage_index);
@@ -411,13 +410,13 @@ int RoomiestStage(const PerfResult& perf, int exclude) {
 
 class CandidateBuilder {
  public:
-  CandidateBuilder(const PerformanceModel& model, const ParallelConfig& base,
-                   PrimitiveKind kind, int stage, bool attach_recompute_fix)
+  CandidateBuilder(const PerformanceModel& model, PrimitiveKind kind,
+                   int stage, bool attach_recompute_fix, int64_t memory_limit)
       : model_(model),
-        base_(base),
         kind_(kind),
         stage_(stage),
-        attach_recompute_fix_(attach_recompute_fix) {}
+        attach_recompute_fix_(attach_recompute_fix),
+        memory_limit_(memory_limit) {}
 
   // Validates, applies the §4.3 recompute attachment to the stages the
   // candidate touched, and records it. `touched_stages` lists every stage
@@ -433,7 +432,7 @@ class CandidateBuilder {
     }
     if (attach_recompute_fix_) {
       for (int s : touched_stages) {
-        FixRecompute(model_, config, s);
+        FixRecompute(model_, config, s, memory_limit_);
       }
     }
     if (out_.empty()) {
@@ -455,10 +454,10 @@ class CandidateBuilder {
   static constexpr size_t kInitialCandidates = 4;
 
   const PerformanceModel& model_;
-  const ParallelConfig& base_;
   PrimitiveKind kind_;
   int stage_;
   bool attach_recompute_fix_;
+  int64_t memory_limit_;
   std::vector<Candidate> out_;
 };
 
@@ -535,7 +534,8 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
     const PerformanceModel& model, const ParallelConfig& config,
     const PerfResult& perf, PrimitiveKind kind, int stage,
     bool attach_recompute_fix) {
-  CandidateBuilder builder(model, config, kind, stage, attach_recompute_fix);
+  CandidateBuilder builder(model, kind, stage, attach_recompute_fix,
+                           perf.memory_limit);
   const int p = config.num_stages();
   const StageConfig& target = config.stage(stage);
   const int mbs = config.microbatch_size();
@@ -724,9 +724,9 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
       // actually over budget — otherwise the fix would *release*
       // recomputation, which is dec-rc's job.
       if (perf.stages[static_cast<size_t>(stage)].memory_bytes >
-          model.cluster().gpu.memory_bytes) {
+          perf.memory_limit) {
         ParallelConfig next = config;
-        FixRecompute(model, next, stage);
+        FixRecompute(model, next, stage, perf.memory_limit);
         builder.Emit(std::move(next), Desc(kind, stage, "fit"), {});
       }
       // (b) Recompute one more op: the largest non-recomputed activation.
@@ -780,9 +780,9 @@ std::vector<Candidate> GeneratePrimitiveCandidates(
       // (a) Drop as much recomputation as memory allows (only when the
       // stage has memory slack; under OOM the fix would add rc instead).
       if (perf.stages[static_cast<size_t>(stage)].memory_bytes <=
-          model.cluster().gpu.memory_bytes) {
+          perf.memory_limit) {
         ParallelConfig next = config;
-        FixRecompute(model, next, stage);
+        FixRecompute(model, next, stage, perf.memory_limit);
         builder.Emit(std::move(next), Desc(kind, stage, "relax"), {});
       }
       // (b) Drop the single most expensive recompute.

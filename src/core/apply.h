@@ -17,6 +17,7 @@
 #ifndef SRC_CORE_APPLY_H_
 #define SRC_CORE_APPLY_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,25 +37,35 @@ struct Candidate {
 
 // Generates all candidates for applying `kind` at `stage`. `config` must
 // pass Validate() (candidates re-check only the stages they change), and
-// `perf` must be the evaluation of `config`. `attach_recompute_fix`
-// controls the §4.3 recompute attachment — disable it to observe a
-// primitive's isolated resource impact (used by the Table-1 verification
-// bench).
+// `perf` must be the evaluation of `config`; the recompute fix-up and the
+// inc-rc/dec-rc guards fit stages under its memory_limit.
+// `attach_recompute_fix` controls the §4.3 recompute attachment — disable it
+// to observe a primitive's isolated resource impact (used by the Table-1
+// verification bench).
 std::vector<Candidate> GeneratePrimitiveCandidates(
     const PerformanceModel& model, const ParallelConfig& config,
     const PerfResult& perf, PrimitiveKind kind, int stage,
     bool attach_recompute_fix = true);
 
 // §4.3 recompute attachment: greedily enables recomputation (largest stored
-// activation first) in `stage` until its memory fits the device, or disables
-// it (most expensive recompute first) while memory allows. Reads no stage
-// cost: the stage's Eq. 1 memory comes from PerformanceModel::StageMemory,
-// an integer-only pass, so the fix-up probes no cache and walks nothing.
+// activation first) in `stage` until its memory fits under `limit` bytes, or
+// disables it (most expensive recompute first) while memory allows. Reads no
+// stage cost: the stage's Eq. 1 memory comes from PerformanceModel::
+// StageMemory, an integer-only pass, so the fix-up probes no cache and walks
+// nothing.
 // Neither pass sorts the whole stage (DESIGN.md §18). Mutates `config` in
 // place, cloning the stage only when a flag flips; no-op when the stage
 // cannot be fixed.
 void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
-                  int stage);
+                  int stage, int64_t limit);
+
+// The former three-argument form: FixRecompute under device capacity.
+// Kept only so perfbench/ keeps compiling; drop it when the benchmark next
+// changes.
+inline void FixRecompute(const PerformanceModel& model, ParallelConfig& config,
+                         int stage) {
+  FixRecompute(model, config, stage, model.cluster().gpu.memory_bytes);
+}
 
 // Moves `count` ops across the boundary between adjacent stages `from` and
 // `to`; moved ops adopt the destination stage's (clamped) parallelism.

@@ -65,6 +65,12 @@ StagePrefixMetrics BuildStagePrefix(const PerformanceModel& model, int mesh,
 
 namespace {
 
+// Candidate microbatch sizes: powers of two dividing the global batch, up
+// to this bound (the DP reference solver's pruning).
+constexpr int kMaxMicrobatch = 16;
+// A stage may hold at most this multiple of the even share of ops.
+constexpr double kMaxOpsPerStageFactor = 3.0;
+
 // Boundary mask over op cuts [0..n]: inside a maximal run of repeating
 // layers (by op signature — the same structure run compression replays,
 // DESIGN.md §12), only cuts at period multiples stay allowed, so the DP
@@ -79,7 +85,7 @@ std::vector<char> AllowedCuts(const OpGraph& graph, bool compress_runs) {
 }  // namespace
 
 StatusOr<DpSeedResult> DpSeedConfig(const PerformanceModel& model,
-                                    int num_stages,
+                                    int num_stages, int64_t memory_limit,
                                     const DpSeedOptions& options) {
   const OpGraph& graph = model.graph();
   const ClusterSpec& cluster = model.cluster();
@@ -98,17 +104,14 @@ StatusOr<DpSeedResult> DpSeedConfig(const PerformanceModel& model,
   const std::vector<char> cut_ok = AllowedCuts(graph, options.compress_runs);
   const int64_t batch = graph.global_batch_size();
   const double opt_mult = OptimizerMultiplier(graph.precision());
-  const int64_t mem_cap = options.memory_limit_bytes > 0
-                              ? options.memory_limit_bytes
-                              : cluster.gpu.memory_bytes;
   const int max_len =
-      std::max(1, static_cast<int>(options.max_ops_per_stage_factor * n / S));
+      std::max(1, static_cast<int>(kMaxOpsPerStageFactor * n / S));
   constexpr double kInf = 1e300;
 
   DpSeedResult result;
   bool found = false;
 
-  for (int mbs = 1; mbs <= options.max_microbatch && batch % mbs == 0;
+  for (int mbs = 1; mbs <= kMaxMicrobatch && batch % mbs == 0;
        mbs *= 2) {
     // Per-stage (tp, recompute) options, priced once per distinct mesh size
     // (SplitDevicesPow2 produces at most two distinct sizes).
@@ -193,7 +196,7 @@ StatusOr<DpSeedResult> DpSeedConfig(const PerformanceModel& model,
                 params +
                 static_cast<int64_t>(static_cast<double>(params) * opt_mult) +
                 act * in_flight;
-            if (mem > mem_cap) {
+            if (mem > memory_limit) {
               continue;
             }
             const double value = std::max(prev.value, time);
@@ -250,7 +253,7 @@ StatusOr<DpSeedResult> DpSeedConfig(const PerformanceModel& model,
       continue;
     }
     PerfResult perf = model.Evaluate(config);
-    perf.ApplyMemoryLimit(options.memory_limit_bytes);
+    perf.ApplyMemoryLimit(memory_limit);
     ++result.evaluations;
     if (!found || perf.BetterThan(result.perf)) {
       found = true;

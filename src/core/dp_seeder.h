@@ -54,20 +54,10 @@ StagePrefixMetrics BuildStagePrefix(const PerformanceModel& model, int mesh,
                                     int tp, bool recompute, int mbs);
 
 struct DpSeedOptions {
-  // Candidate microbatch sizes: powers of two dividing the global batch,
-  // up to this bound (the DP reference solver's pruning).
-  int max_microbatch = 16;
-  // A stage may hold at most this multiple of the even share of ops.
-  double max_ops_per_stage_factor = 3.0;
   // Restrict stage boundaries to repeated-layer period multiples. Off makes
   // the DP exact over all op boundaries (slower on deep models; used by
   // tests to check the compression loses nothing on uniform stacks).
   bool compress_runs = true;
-  // Per-device memory budget overriding the Eq.1 cap and the re-pricing
-  // verdict; <= 0 uses GpuSpec::memory_bytes. Mirrors
-  // SearchOptions::memory_budget_bytes so a budget-constrained search seeds
-  // within its own budget.
-  int64_t memory_limit_bytes = 0;
 };
 
 struct DpSeedResult {
@@ -78,10 +68,12 @@ struct DpSeedResult {
   int64_t evaluations = 0;
 };
 
-// Seeds a `num_stages`-stage configuration. Fails (NotFound) when no DP
-// solution is constructible — callers fall back to the heuristic seed.
+// Seeds a `num_stages`-stage configuration under the per-device
+// `memory_limit` (the search's effective limit): the Eq.1 cap of the DP and
+// the re-pricing verdict. Fails (NotFound) when no DP solution is
+// constructible — callers fall back to the heuristic seed.
 StatusOr<DpSeedResult> DpSeedConfig(const PerformanceModel& model,
-                                    int num_stages,
+                                    int num_stages, int64_t memory_limit,
                                     const DpSeedOptions& options = {});
 
 }  // namespace aceso

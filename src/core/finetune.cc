@@ -8,6 +8,9 @@
 namespace aceso {
 namespace {
 
+// Cap on dimension flips tried per stage.
+constexpr int kMaxDimFlipsPerStage = 16;
+
 // Evenly spaced interior indices of [1, n), at most `cap` of them.
 std::vector<int> SampleSplitPoints(int n, int cap) {
   std::vector<int> points;
@@ -97,7 +100,7 @@ PerfResult FineTune(const PerformanceModel& model, ParallelConfig& config,
         }
         count_trial();
         PerfResult perf = model.Evaluate(trial);
-        perf.ApplyMemoryLimit(options.memory_limit_bytes);
+        perf.ApplyMemoryLimit(initial_perf.memory_limit);
         offer_frontier(trial, perf);
         if (perf.BetterThan(best)) {
           config = std::move(trial);
@@ -113,7 +116,7 @@ PerfResult FineTune(const PerformanceModel& model, ParallelConfig& config,
     // NOTE: `config` is reassigned inside the loop; re-fetch the stage on
     // every iteration instead of holding a reference.
     for (int i = 0; i < config.stage(s).num_ops; ++i) {
-      if (flips >= options.max_dim_flips_per_stage || budget.Expired()) {
+      if (flips >= kMaxDimFlipsPerStage || budget.Expired()) {
         break;
       }
       const StageConfig& stage = config.stage(s);
@@ -131,7 +134,7 @@ PerfResult FineTune(const PerformanceModel& model, ParallelConfig& config,
       ++flips;
       count_trial();
       PerfResult perf = model.Evaluate(trial);
-      perf.ApplyMemoryLimit(options.memory_limit_bytes);
+      perf.ApplyMemoryLimit(initial_perf.memory_limit);
       offer_frontier(trial, perf);
       if (perf.BetterThan(best)) {
         config = std::move(trial);

@@ -25,12 +25,6 @@ struct FineTuneOptions {
   // Cap on split points tried per stage (evenly spaced through the stage);
   // keeps fine-tuning O(ops) for 1K-layer models.
   int max_split_points_per_stage = 8;
-  // Cap on dimension flips tried per stage.
-  int max_dim_flips_per_stage = 16;
-  // Per-device memory budget trials are judged against
-  // (PerfResult::ApplyMemoryLimit); <= 0 keeps the performance model's
-  // hardware-capacity verdict. Mirrors SearchOptions::memory_budget_bytes.
-  int64_t memory_limit_bytes = 0;
   // When set, every evaluated trial (kept or not) is offered to this Pareto
   // archive (DESIGN.md §15). Trials retarget tp/dp tails and flip sharding
   // dimensions — memory moves the walk itself rarely makes — so archiving
@@ -42,6 +36,8 @@ struct FineTuneOptions {
 
 // Fine-tunes `config` in place; returns the evaluation of the final config.
 // `config` must pass Validate(): trials re-check only the stage they change.
+// Trials are judged against `initial_perf.memory_limit` (the search's
+// effective limit).
 // Stops early when `budget` expires. When `trial_evaluations` is non-null it
 // is incremented once per trial configuration evaluated, so callers (the
 // search) can attribute fine-tuning work to their explored-config counters.

@@ -51,6 +51,7 @@ class SingleSearch {
         num_stages_(num_stages),
         budget_(budget_seconds),
         global_watch_(global_watch),
+        memory_limit_(EffectiveMemoryLimit(options, model.cluster())),
         telemetry_(options.telemetry),
         worker_(worker),
         rng_(options.seed ^ MixU64(static_cast<uint64_t>(num_stages))) {}
@@ -74,7 +75,7 @@ class SingleSearch {
     ScoredConfig current;
     current.config = *std::move(initial);
     current.perf = model_.Evaluate(current.config);
-    current.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
+    current.perf.ApplyMemoryLimit(memory_limit_);
     ++stats_.configs_explored;  // the initial configuration counts too
     current.semantic_hash = current.config.SemanticHash(model_.graph());
     visited_.insert(current.semantic_hash);
@@ -111,7 +112,6 @@ class SingleSearch {
         if (options_.enable_finetune) {
           const double before_finetune = current.perf.iteration_time;
           FineTuneOptions finetune_options;
-          finetune_options.memory_limit_bytes = options_.memory_budget_bytes;
           if (options_.track_frontier) {
             finetune_options.frontier = &frontier_;
           }
@@ -282,9 +282,7 @@ class SingleSearch {
       return *options_.seed_config;
     }
     if (options_.seed_mode == SeedMode::kDp) {
-      DpSeedOptions seed_options;
-      seed_options.memory_limit_bytes = options_.memory_budget_bytes;
-      auto seeded = DpSeedConfig(model_, num_stages_, seed_options);
+      auto seeded = DpSeedConfig(model_, num_stages_, memory_limit_);
       if (seeded.ok()) {
         stats_.configs_explored += seeded->evaluations;
         dp_seed_evaluations_ = seeded->evaluations;
@@ -393,7 +391,7 @@ class SingleSearch {
             continue;
           }
           scored.perf = model_.Evaluate(scored.config);
-          scored.perf.ApplyMemoryLimit(options_.memory_budget_bytes);
+          scored.perf.ApplyMemoryLimit(memory_limit_);
           ++stats_.configs_explored;
           if (telemetry_ != nullptr) {
             ++iter_.evaluated;
@@ -494,6 +492,8 @@ class SingleSearch {
   int num_stages_;
   TimeBudget budget_;
   const Stopwatch& global_watch_;
+  // EffectiveMemoryLimit of options_: every verdict of this search.
+  int64_t memory_limit_;
   // Cached sink pointer: null disables every instrumentation point behind a
   // single predictable branch (the telemetry-off hot path must stay within
   // noise of the uninstrumented build; see micro_search).
@@ -595,11 +595,7 @@ SearchResult RunStageCount(const PerformanceModel& model,
   // densifying the ladder (sqrt(2) rungs) was tried and lost more to the
   // thinner per-rung budget than it gained in coverage.
   constexpr int kLadderRungs = 5;
-  const int64_t capacity =
-      options.memory_budget_bytes > 0
-          ? std::min(options.memory_budget_bytes,
-                     model.cluster().gpu.memory_bytes)
-          : model.cluster().gpu.memory_bytes;
+  const int64_t limit = EffectiveMemoryLimit(options, model.cluster());
   // <= 0 stays "unlimited" through the division.
   const double rung_seconds = budget_seconds / kLadderRungs;
   const int64_t base_evals = options.max_evaluations / kLadderRungs;
@@ -607,9 +603,9 @@ SearchResult RunStageCount(const PerformanceModel& model,
   for (int rung = 0; rung < kLadderRungs; ++rung) {
     SearchOptions rung_options = options;
     if (rung == 0) {
-      // The capacity rung keeps the caller's own limit (possibly none) and
-      // absorbs the evaluation-budget remainder, so the overall best is as
-      // strong as an even split allows.
+      // The capacity rung runs at the search's effective limit and absorbs
+      // the evaluation-budget remainder, so the overall best is as strong
+      // as an even split allows.
       if (options.max_evaluations > 0) {
         rung_options.max_evaluations =
             options.max_evaluations - (kLadderRungs - 1) * base_evals;
@@ -618,7 +614,7 @@ SearchResult RunStageCount(const PerformanceModel& model,
       if (options.max_evaluations > 0 && base_evals == 0) {
         break;  // too few evaluations to split; the capacity rung took all
       }
-      rung_options.memory_budget_bytes = capacity >> rung;
+      rung_options.memory_budget_bytes = limit >> rung;
       if (options.max_evaluations > 0) {
         rung_options.max_evaluations = base_evals;
       }
@@ -702,6 +698,13 @@ void RecordModelCounters(const PerformanceModel& model,
 }
 
 }  // namespace
+
+int64_t EffectiveMemoryLimit(const SearchOptions& options,
+                             const ClusterSpec& cluster) {
+  return options.memory_budget_bytes > 0
+             ? std::min(options.memory_budget_bytes, cluster.gpu.memory_bytes)
+             : cluster.gpu.memory_bytes;
+}
 
 uint64_t SearchOptionsSemanticHash(const SearchOptions& options) {
   Hasher h;

@@ -108,13 +108,13 @@ struct SearchOptions {
   // evaluated candidate) but not free.
   bool track_frontier = false;
 
-  // Per-device memory budget the search judges feasibility against, in
-  // bytes; 0 uses the modelled device capacity (GpuSpec::memory_bytes).
-  // A positive budget re-verdicts every evaluation (and the fine-tune and
-  // DP-seed passes) without touching the performance model: timings are
-  // hardware truth, feasibility is policy. This is how exp13's fixed-budget
-  // searches and the daemon's budget-constrained requests share one model
-  // and one profile database.
+  // Per-device memory budget, in bytes: the search runs exactly as on a
+  // device of that capacity, judging every verdict and fitting every
+  // memory-driven construction to EffectiveMemoryLimit below (a budget
+  // above capacity, or none, is capacity). The performance model is not
+  // touched: timings are hardware truth, feasibility is policy. This is how
+  // exp13's fixed-budget searches and the daemon's budget-constrained
+  // requests share one model and one profile database.
   int64_t memory_budget_bytes = 0;
 
   InitialConfigKind initial_config = InitialConfigKind::kBalanced;
@@ -226,6 +226,12 @@ struct SearchResult {
 // plan must hash equal, and any field that can change the plan must be included
 // here when added.
 uint64_t SearchOptionsSemanticHash(const SearchOptions& options);
+
+// The one per-device memory limit of a search over `cluster`: min(budget,
+// capacity) for a positive memory_budget_bytes, else capacity. Each
+// stage-count search carries it in PerfResult::memory_limit.
+int64_t EffectiveMemoryLimit(const SearchOptions& options,
+                             const ClusterSpec& cluster);
 
 // Runs the full search: initial configurations for every stage count in
 // range, searched in parallel under one shared budget.

@@ -148,7 +148,7 @@ std::vector<char> SeedAdaptAllowedCuts(const OpGraph& graph,
 
 StatusOr<SeedAdaptResult> AdaptSeedConfig(const PerformanceModel& model,
                                           const ParallelConfig& seed,
-                                          const SeedAdaptOptions& options) {
+                                          int64_t memory_limit) {
   const OpGraph& graph = model.graph();
   const ClusterSpec& cluster = model.cluster();
   const int n_new = graph.num_ops();
@@ -251,17 +251,12 @@ StatusOr<SeedAdaptResult> AdaptSeedConfig(const PerformanceModel& model,
   std::vector<std::vector<int>> layouts;
   layouts.push_back(AdaptBoundaries(
       old_bounds, n_new, SeedAdaptAllowedCuts(graph, /*compress_runs=*/false)));
-  if (options.compress_runs) {
-    std::vector<int> snapped = AdaptBoundaries(
-        old_bounds, n_new, SeedAdaptAllowedCuts(graph, /*compress_runs=*/true));
-    if (snapped != layouts.front()) {
-      layouts.push_back(std::move(snapped));
-    }
+  std::vector<int> snapped = AdaptBoundaries(
+      old_bounds, n_new, SeedAdaptAllowedCuts(graph, /*compress_runs=*/true));
+  if (snapped != layouts.front()) {
+    layouts.push_back(std::move(snapped));
   }
 
-  const int64_t limit = options.memory_limit_bytes > 0
-                            ? options.memory_limit_bytes
-                            : cluster.gpu.memory_bytes;
   SeedAdaptResult result;
   bool found = false;
   Status last_error = NotFound("seed adapt: no candidate layout was valid");
@@ -272,7 +267,7 @@ StatusOr<SeedAdaptResult> AdaptSeedConfig(const PerformanceModel& model,
       continue;
     }
     PerfResult perf = model.Evaluate(*config);
-    perf.ApplyMemoryLimit(limit);
+    perf.ApplyMemoryLimit(memory_limit);
     ++result.evaluations;
     if (!found || perf.BetterThan(result.perf)) {
       found = true;

@@ -21,7 +21,7 @@
 //     difference) and the microbatch size clamped to divisibility.
 //
 // The adapted configuration always passes ParallelConfig::Validate and
-// carries a verdict under the requested memory budget. Adaptation is a pure
+// carries a verdict under the requested memory limit. Adaptation is a pure
 // function of its inputs — no clocks, no randomness — so a seeded search
 // stays bit-reproducible (the golden-pinned trajectories in search_test).
 //
@@ -40,25 +40,11 @@
 
 namespace aceso {
 
-struct SeedAdaptOptions {
-  // Also try stage boundaries snapped to repeated-layer period multiples
-  // (the run-compression structure of DESIGN.md §12) and keep whichever of
-  // {plain proportional, snapped} verdicts better. The plain variant is
-  // always evaluated: it reproduces the seed exactly when nothing changed,
-  // and it preserves deliberate mid-layer cuts the search fine-tuned into
-  // the seed. Off skips the snapped candidate entirely.
-  bool compress_runs = true;
-  // Per-device memory budget for the adapted config's feasibility verdict;
-  // <= 0 uses GpuSpec::memory_bytes. Mirrors
-  // SearchOptions::memory_budget_bytes.
-  int64_t memory_limit_bytes = 0;
-};
-
 struct SeedAdaptResult {
   ParallelConfig config;
   // Full-model evaluation of the adapted config, re-verdicted under the
-  // requested memory budget — what the serving layer compares the seeded
-  // search's final plan against (fallback semantics, DESIGN.md §17).
+  // memory limit — what the serving layer compares the seeded search's
+  // final plan against (fallback semantics, DESIGN.md §17).
   PerfResult perf;
   // Full-model Evaluate() calls spent (1 or 2 on success — one per
   // candidate boundary layout); reported so callers can charge adaptation
@@ -68,10 +54,12 @@ struct SeedAdaptResult {
 
 // Adapts `seed` — a valid configuration for some *other* (graph, cluster)
 // pair — to `model`'s graph and cluster. The seed's stage count is
-// preserved.
+// preserved. Both boundary layouts (plain proportional, and snapped to
+// repeated-layer period multiples) are tried; the better verdict under the
+// per-device `memory_limit` (the seeded search's effective limit) wins.
 StatusOr<SeedAdaptResult> AdaptSeedConfig(const PerformanceModel& model,
                                           const ParallelConfig& seed,
-                                          const SeedAdaptOptions& options = {});
+                                          int64_t memory_limit);
 
 // The cut mask used for boundary snapping: allowed[c] == 1 iff a stage
 // boundary may sit before op `c` (c in [0, num_ops]). With compress_runs,

@@ -76,7 +76,8 @@ struct PerfResult {
 
   std::vector<StageUsage> stages;
 
-  // Device memory capacity used for the OOM check.
+  // Per-device memory limit of the OOM check: device capacity from
+  // Evaluate, a search's effective limit once ApplyMemoryLimit ran.
   int64_t memory_limit = 0;
 
   // Samples/second given the model's global batch size.
@@ -128,16 +129,13 @@ struct PerfResult {
                : iteration_time;
   }
 
-  // Re-judges feasibility against an overriding per-device memory budget
-  // (SearchOptions::memory_budget_bytes). A budget of <= 0 keeps the verdict
-  // the performance model issued against hardware capacity. Timing estimates
-  // are unchanged: the budget constrains feasibility, not the simulation.
-  void ApplyMemoryLimit(int64_t budget_bytes) {
-    if (budget_bytes <= 0) {
-      return;
-    }
-    memory_limit = budget_bytes;
-    oom = MaxMemory() > budget_bytes;
+  // Re-judges feasibility against a search's resolved per-device memory
+  // limit (EffectiveMemoryLimit, src/core/search.h). Device capacity
+  // reproduces the performance model's own verdict. Timing estimates are
+  // unchanged: the limit constrains feasibility, not the simulation.
+  void ApplyMemoryLimit(int64_t limit_bytes) {
+    memory_limit = limit_bytes;
+    oom = MaxMemory() > limit_bytes;
   }
 
   int64_t MaxMemory() const {

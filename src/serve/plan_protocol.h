@@ -53,8 +53,9 @@ struct PlanRequest {
   // Track the throughput–memory Pareto frontier and embed it in the payload
   // (DESIGN.md §15). Semantic: it adds a member to the answer.
   bool frontier = false;
-  // Per-device memory budget for feasibility verdicts (bytes; 0 = device
-  // capacity). Semantic: it changes every verdict.
+  // Per-device memory budget (bytes): the search plans as for a device of
+  // this capacity; 0 or a budget above capacity answers at capacity
+  // (EffectiveMemoryLimit). Semantic: it changes every verdict.
   int64_t memory_budget_bytes = 0;
 
   // ---- sweep lookup ----

@@ -178,9 +178,8 @@ SearchResult PlanService::SeededSearch(const PerformanceModel& model,
   if (!neighbor.has_value() || neighbor->config == nullptr) {
     return AcesoSearch(model, options);
   }
-  SeedAdaptOptions adapt_options;
-  adapt_options.memory_limit_bytes = options.memory_budget_bytes;
-  auto adapted = AdaptSeedConfig(model, *neighbor->config, adapt_options);
+  const int64_t limit = EffectiveMemoryLimit(options, cluster);
+  auto adapted = AdaptSeedConfig(model, *neighbor->config, limit);
   if (!adapted.ok()) {
     // The neighbor does not reshape to this request (e.g. fewer devices
     // than its stages): plain unseeded search, not counted as seeded.
@@ -211,9 +210,7 @@ SearchResult PlanService::SeededSearch(const PerformanceModel& model,
                                seeded_options.seed_config->num_stages(), 1);
     if (init.ok()) {
       PerfResult init_perf = model.Evaluate(*init);
-      init_perf.ApplyMemoryLimit(options.memory_budget_bytes > 0
-                                     ? options.memory_budget_bytes
-                                     : cluster.gpu.memory_bytes);
+      init_perf.ApplyMemoryLimit(limit);
       if (init_perf.BetterThan(seeded.best.perf)) {
         adopt = false;
       }

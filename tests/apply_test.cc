@@ -94,7 +94,8 @@ TEST_F(ApplyTest, FixRecomputeResolvesOom) {
   ParallelConfig config = *maybe;
   const PerfResult before = tiny_model.Evaluate(config);
   ASSERT_TRUE(before.oom);
-  FixRecompute(tiny_model, config, before.max_memory_stage);
+  FixRecompute(tiny_model, config, before.max_memory_stage,
+               before.memory_limit);
   const PerfResult after = tiny_model.Evaluate(config);
   EXPECT_LT(after.MaxMemory(), before.MaxMemory());
   EXPECT_GT(config.stage(before.max_memory_stage).NumRecomputed(), 0);
@@ -107,7 +108,7 @@ TEST_F(ApplyTest, FixRecomputeReleasesUnneededRecompute) {
   }
   // Plenty of memory: the fix should drop (some) recomputation.
   const int before = config.stage(0).NumRecomputed();
-  FixRecompute(model_, config, 0);
+  FixRecompute(model_, config, 0, cluster_.gpu.memory_bytes);
   EXPECT_LT(config.stage(0).NumRecomputed(), before);
 }
 

@@ -16,14 +16,14 @@ TEST(DpSeederTest, SeedIsValidAndDeterministicOnGpt3) {
   ProfileDatabase db(cluster);
   PerformanceModel model(&graph, cluster, &db);
 
-  auto first = DpSeedConfig(model, 2);
+  auto first = DpSeedConfig(model, 2, cluster.gpu.memory_bytes);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_TRUE(first->config.Validate(graph, cluster).ok());
   EXPECT_EQ(first->config.num_stages(), 2);
   EXPECT_GT(first->evaluations, 0);
   EXPECT_FALSE(first->perf.oom);
 
-  auto second = DpSeedConfig(model, 2);
+  auto second = DpSeedConfig(model, 2, cluster.gpu.memory_bytes);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->config.SemanticHash(graph),
             second->config.SemanticHash(graph));
@@ -39,7 +39,7 @@ TEST(DpSeederTest, SeededConfigIsPinnedOnGpt3) {
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(4);
   ProfileDatabase db(cluster);
   PerformanceModel model(&graph, cluster, &db);
-  auto seed = DpSeedConfig(model, 2);
+  auto seed = DpSeedConfig(model, 2, cluster.gpu.memory_bytes);
   ASSERT_TRUE(seed.ok()) << seed.status().ToString();
   EXPECT_EQ(seed->config.SemanticHash(graph), 1633812994793543637ULL);
   EXPECT_DOUBLE_EQ(seed->perf.iteration_time, 23.106789658476192);
@@ -50,7 +50,7 @@ TEST(DpSeederTest, SeededConfigIsPinnedOnWresnet) {
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
   ProfileDatabase db(cluster);
   PerformanceModel model(&graph, cluster, &db);
-  auto seed = DpSeedConfig(model, 2);
+  auto seed = DpSeedConfig(model, 2, cluster.gpu.memory_bytes);
   ASSERT_TRUE(seed.ok()) << seed.status().ToString();
   EXPECT_EQ(seed->config.SemanticHash(graph), 12112673595168534270ULL);
   EXPECT_DOUBLE_EQ(seed->perf.iteration_time, 11.941247589686865);
@@ -67,13 +67,13 @@ TEST(DpSeederTest, CompressedCutsStillProduceAFeasibleSeed) {
 
   DpSeedOptions compressed;
   compressed.compress_runs = true;
-  auto fast = DpSeedConfig(model, 4, compressed);
+  auto fast = DpSeedConfig(model, 4, cluster.gpu.memory_bytes, compressed);
   ASSERT_TRUE(fast.ok()) << fast.status().ToString();
   EXPECT_FALSE(fast->perf.oom);
 
   DpSeedOptions exact;
   exact.compress_runs = false;
-  auto full = DpSeedConfig(model, 4, exact);
+  auto full = DpSeedConfig(model, 4, cluster.gpu.memory_bytes, exact);
   ASSERT_TRUE(full.ok()) << full.status().ToString();
   EXPECT_LE(full->perf.iteration_time, fast->perf.iteration_time * 1.0 + 1e-12);
 }
@@ -83,8 +83,8 @@ TEST(DpSeederTest, UnconstructibleStageCountFails) {
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(4);
   ProfileDatabase db(cluster);
   PerformanceModel model(&graph, cluster, &db);
-  EXPECT_FALSE(DpSeedConfig(model, 64).ok());
-  EXPECT_FALSE(DpSeedConfig(model, 0).ok());
+  EXPECT_FALSE(DpSeedConfig(model, 64, cluster.gpu.memory_bytes).ok());
+  EXPECT_FALSE(DpSeedConfig(model, 0, cluster.gpu.memory_bytes).ok());
 }
 
 TEST(DpSeederTest, SearchChargesSeederEvaluations) {
@@ -93,7 +93,7 @@ TEST(DpSeederTest, SearchChargesSeederEvaluations) {
   ProfileDatabase db(cluster);
   PerformanceModel model(&graph, cluster, &db);
 
-  const auto seed = DpSeedConfig(model, 2);
+  const auto seed = DpSeedConfig(model, 2, cluster.gpu.memory_bytes);
   ASSERT_TRUE(seed.ok());
 
   model.ResetEvaluationCount();

@@ -377,11 +377,9 @@ TEST_P(FuzzTest, AdaptedSeedConfigsAreValidOrRejected) {
   ProfileDatabase db(target_cluster, /*seed=*/GetParam());
   PerformanceModel model(&target_graph, target_cluster, &db);
 
-  SeedAdaptOptions adapt_options;
-  if (rng_.NextBool(0.3)) {
-    adapt_options.memory_limit_bytes = 16 * kGiB;
-  }
-  auto adapted = AdaptSeedConfig(model, seed, adapt_options);
+  const int64_t limit =
+      rng_.NextBool(0.3) ? 16 * kGiB : target_cluster.gpu.memory_bytes;
+  auto adapted = AdaptSeedConfig(model, seed, limit);
   if (!adapted.ok()) {
     EXPECT_EQ(adapted.status().code(), StatusCode::kNotFound)
         << adapted.status().ToString();
@@ -400,9 +398,7 @@ TEST_P(FuzzTest, AdaptedSeedConfigsAreValidOrRejected) {
   EXPECT_EQ(next_op, target_graph.num_ops());
   // The reported verdict is exactly a fresh evaluation under the same limit.
   PerfResult fresh = model.Evaluate(config);
-  fresh.ApplyMemoryLimit(adapt_options.memory_limit_bytes > 0
-                             ? adapt_options.memory_limit_bytes
-                             : target_cluster.gpu.memory_bytes);
+  fresh.ApplyMemoryLimit(limit);
   EXPECT_EQ(adapted->perf.iteration_time, fresh.iteration_time);
   EXPECT_EQ(adapted->perf.oom, fresh.oom);
 }
@@ -574,7 +570,7 @@ TEST_P(FuzzTest, FixRecomputeMatchesEvaluateBasedReference) {
       ReferenceFixRecompute(cached, want, s);
       for (const PerformanceModel* model : {&cached, &uncached}) {
         ParallelConfig got = config;
-        FixRecompute(*model, got, s);
+        FixRecompute(*model, got, s, cluster.gpu.memory_bytes);
         ASSERT_EQ(got.SemanticHash(graph), want.SemanticHash(graph))
             << "stage " << s << " round " << round;
       }
@@ -725,7 +721,7 @@ TEST_P(FuzzTest, FixRecomputeMatchesWalkAndSortReference) {
         WalkAndSortFixRecompute(model, want, s);
         ParallelConfig got = *config;
         const StageCacheStats before = model.stage_cache().stats();
-        FixRecompute(model, got, s);
+        FixRecompute(model, got, s, cluster.gpu.memory_bytes);
         const StageCacheStats after = model.stage_cache().stats();
         ASSERT_EQ(after.hits, before.hits);
         ASSERT_EQ(after.misses, before.misses);
@@ -1041,7 +1037,7 @@ TEST_P(FuzzTest, SegmentedFixRecomputeMatchesPerOpReference) {
         for (const bool compress : {true, false}) {
           model.set_run_compression_enabled(compress);
           ParallelConfig got = config;
-          FixRecompute(model, got, s);
+          FixRecompute(model, got, s, cluster.gpu.memory_bytes);
           const StageConfig& got_stage = got.stage(s);
           const StageConfig& want_stage = want.stage(s);
           for (int i = 0; i < got_stage.num_ops; ++i) {
@@ -1116,7 +1112,7 @@ TEST(SegmentedFixRecomputeTest, TiesAcrossRunsOfEqualLength) {
     ParallelConfig want = config;
     WalkAndSortFixRecompute(model, want, 0);
     ParallelConfig got = config;
-    FixRecompute(model, got, 0);
+    FixRecompute(model, got, 0, cluster.gpu.memory_bytes);
     for (int i = 0; i < graph.num_ops(); ++i) {
       ASSERT_EQ(got.stage(0).ops[static_cast<size_t>(i)].recompute,
                 want.stage(0).ops[static_cast<size_t>(i)].recompute)

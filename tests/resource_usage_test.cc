@@ -116,12 +116,13 @@ TEST(PerfResultTest, BetterThanIsAStrictWeakOrdering) {
 TEST(PerfResultTest, ApplyMemoryLimitRejudgesFeasibility) {
   PerfResult r = Make(false, 2.0, 12 * kGiB, 32 * kGiB);
 
-  // Non-positive budgets keep the model's hardware-capacity verdict.
-  r.ApplyMemoryLimit(0);
+  // The limit is resolved by the caller (EffectiveMemoryLimit): device
+  // capacity, what an unbudgeted search resolves to, keeps the model's
+  // verdict.
+  r.ApplyMemoryLimit(32 * kGiB);
   EXPECT_FALSE(r.oom);
   EXPECT_EQ(r.memory_limit, 32 * kGiB);
-  r.ApplyMemoryLimit(-1);
-  EXPECT_FALSE(r.oom);
+  EXPECT_EQ(r.MemoryOverage(), -20 * kGiB);
 
   // A budget below the peak flips the verdict and re-anchors the overage.
   r.ApplyMemoryLimit(8 * kGiB);

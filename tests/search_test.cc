@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/finetune.h"
 #include "src/ir/models/model_zoo.h"
 #include "src/obs/telemetry.h"
@@ -624,6 +628,136 @@ TEST_F(SearchTest, MemoryPressureTriggersRecomputation) {
   const SearchResult result = AcesoSearch(tiny_model, FastOptions());
   ASSERT_TRUE(result.found);
   EXPECT_FALSE(result.best.perf.oom);
+}
+
+TEST(MemoryLimitTest, EffectiveLimitClampsTheBudgetToCapacity) {
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  const int64_t capacity = cluster.gpu.memory_bytes;
+  SearchOptions options;
+  options.memory_budget_bytes = 0;  // no budget
+  EXPECT_EQ(EffectiveMemoryLimit(options, cluster), capacity);
+  options.memory_budget_bytes = capacity / 4;
+  EXPECT_EQ(EffectiveMemoryLimit(options, cluster), capacity / 4);
+  options.memory_budget_bytes = capacity;
+  EXPECT_EQ(EffectiveMemoryLimit(options, cluster), capacity);
+  options.memory_budget_bytes = 2 * capacity;
+  EXPECT_EQ(EffectiveMemoryLimit(options, cluster), capacity);
+}
+
+// One stage count's search on one thread under a fixed evaluation budget,
+// so the result is bit-reproducible.
+SearchResult FixedSearch(const OpGraph& graph, const ClusterSpec& cluster,
+                         int64_t budget, int stages, int64_t evaluations,
+                         SeedMode seed_mode = SeedMode::kHeuristic) {
+  ProfileDatabase db(cluster);
+  PerformanceModel model(&graph, cluster, &db);
+  SearchOptions options;
+  options.time_budget_seconds = 1e9;
+  options.max_evaluations = evaluations;
+  options.num_threads = 1;
+  options.memory_budget_bytes = budget;
+  options.seed_mode = seed_mode;
+  return AcesoSearchForStages(model, options, stages);
+}
+
+// A budget above capacity answers exactly as no budget, and the answer
+// fits the device: the budget never loosens the hardware limit.
+TEST(MemoryLimitTest, BudgetAboveCapacityAnswersAsNoBudget) {
+  const OpGraph graph = *models::BuildByName("wresnet-2b");
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  const SearchResult unbudgeted = FixedSearch(graph, cluster, 0, 4, 3000);
+  const SearchResult doubled =
+      FixedSearch(graph, cluster, 2 * cluster.gpu.memory_bytes, 4, 3000);
+  ASSERT_TRUE(unbudgeted.found);
+  ASSERT_TRUE(doubled.found);
+  EXPECT_EQ(doubled.best.semantic_hash, unbudgeted.best.semantic_hash);
+  EXPECT_EQ(doubled.best.perf.iteration_time,
+            unbudgeted.best.perf.iteration_time);
+  EXPECT_FALSE(doubled.best.perf.oom);
+  EXPECT_EQ(doubled.best.perf.memory_limit, cluster.gpu.memory_bytes);
+  EXPECT_LE(doubled.best.perf.MaxMemory(), cluster.gpu.memory_bytes);
+}
+
+// A budgeted search and the same search on a device whose capacity is the
+// budget reach the same best configuration, bit for bit.
+void ExpectBudgetActsAsSmallerDevice(const std::string& model_name,
+                                     int64_t budget, int stages,
+                                     int64_t evaluations, SeedMode seed_mode) {
+  const OpGraph graph = *models::BuildByName(model_name);
+  const ClusterSpec cluster = ClusterSpec::WithGpuCount(8);
+  ClusterSpec smaller = cluster;
+  smaller.gpu.memory_bytes = std::min(budget, cluster.gpu.memory_bytes);
+  const SearchResult budgeted =
+      FixedSearch(graph, cluster, budget, stages, evaluations, seed_mode);
+  const SearchResult device =
+      FixedSearch(graph, smaller, 0, stages, evaluations, seed_mode);
+  SCOPED_TRACE(model_name + " budget " + std::to_string(budget) + " stages " +
+               std::to_string(stages));
+  ASSERT_EQ(budgeted.found, device.found);
+  if (!budgeted.found) {
+    return;
+  }
+  EXPECT_EQ(budgeted.best.semantic_hash, device.best.semantic_hash);
+  EXPECT_EQ(budgeted.best.perf.iteration_time,
+            device.best.perf.iteration_time);
+  EXPECT_EQ(budgeted.best.perf.oom, device.best.perf.oom);
+  EXPECT_EQ(budgeted.stats.configs_explored, device.stats.configs_explored);
+}
+
+struct BudgetRow {
+  const char* model;
+  int percent;  // of device capacity
+};
+
+void PrintTo(const BudgetRow& row, std::ostream* os) {
+  *os << row.model << " at " << row.percent << "%";
+}
+
+class BudgetIsSmallerDeviceTest : public ::testing::TestWithParam<BudgetRow> {
+};
+
+TEST_P(BudgetIsSmallerDeviceTest, SameBestPlan) {
+  const int64_t capacity = ClusterSpec::WithGpuCount(8).gpu.memory_bytes;
+  ExpectBudgetActsAsSmallerDevice(GetParam().model,
+                                  capacity * GetParam().percent / 100,
+                                  /*stages=*/4, /*evaluations=*/3000,
+                                  SeedMode::kHeuristic);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, BudgetIsSmallerDeviceTest,
+    ::testing::Values(BudgetRow{"wresnet-2b", 25}, BudgetRow{"wresnet-2b", 35},
+                      BudgetRow{"wresnet-2b", 50}, BudgetRow{"gpt3-2.6b", 25},
+                      BudgetRow{"gpt3-2.6b", 35}, BudgetRow{"gpt3-2.6b", 50}),
+    [](const ::testing::TestParamInfo<BudgetRow>& info) {
+      std::string name = std::string(info.param.model) + "_" +
+                         std::to_string(info.param.percent);
+      for (char& c : name) {
+        if (c == '-' || c == '.') {
+          c = '_';
+        }
+      }
+      return name;
+    });
+
+// A seeded random sample of (model, budget, stage count, seed mode); the
+// budget ranges past capacity, where the smaller device is capacity itself.
+TEST(MemoryLimitTest, RandomBudgetsActAsSmallerDevices) {
+  const char* const kModels[] = {"gpt3-0.35b", "gpt3-1.3b", "wresnet-0.5b",
+                                 "wresnet-2b", "t5-0.77b",  "deepnet-32"};
+  const int kStages[] = {1, 2, 3, 4};
+  const int64_t capacity = ClusterSpec::WithGpuCount(8).gpu.memory_bytes;
+  Rng rng(20240422);
+  for (int draw = 0; draw < 12; ++draw) {
+    const char* model = kModels[rng.NextBelow(std::size(kModels))];
+    const int stages = kStages[rng.NextBelow(std::size(kStages))];
+    const int64_t budget =
+        static_cast<int64_t>(capacity * (0.1 + 1.1 * rng.NextDouble()));
+    const SeedMode seed_mode =
+        rng.NextBool(0.3) ? SeedMode::kDp : SeedMode::kHeuristic;
+    ExpectBudgetActsAsSmallerDevice(model, budget, stages,
+                                    /*evaluations=*/1000, seed_mode);
+  }
 }
 
 }  // namespace
