@@ -133,12 +133,8 @@ std::string FrontierArchive::ToJson(const std::string& model_name) const {
     }
     out += "\"}";
   }
-  out += "],\"offered\":" + std::to_string(stats_.offered);
-  out += ",\"admitted\":" + std::to_string(stats_.admitted);
-  out += ",\"dominated\":" + std::to_string(stats_.dominated);
-  out += ",\"duplicates\":" + std::to_string(stats_.duplicates);
-  out += ",\"rejected\":" + std::to_string(stats_.rejected);
-  out += ",\"evicted\":" + std::to_string(stats_.evicted);
+  out += "],";
+  AppendStatsJson(out, stats_);
   out += '}';
   return out;
 }
@@ -246,24 +242,12 @@ StatusOr<FrontierArchive> FrontierArchive::FromJson(const JsonValue& value) {
     }
     archive.points_.push_back(std::move(p));
   }
-  struct CounterSlot {
-    const char* key;
-    int64_t* slot;
-  };
-  const CounterSlot counters[] = {
-      {"offered", &archive.stats_.offered},
-      {"admitted", &archive.stats_.admitted},
-      {"dominated", &archive.stats_.dominated},
-      {"duplicates", &archive.stats_.duplicates},
-      {"rejected", &archive.stats_.rejected},
-      {"evicted", &archive.stats_.evicted},
-  };
-  for (const CounterSlot& counter : counters) {
-    StatusOr<int64_t> parsed = TakeCounter(value, counter.key);
+  for (const StatField<FrontierStats>& field : FrontierStats::kFields) {
+    StatusOr<int64_t> parsed = TakeCounter(value, field.name);
     if (!parsed.ok()) {
       return parsed.status();
     }
-    *counter.slot = *parsed;
+    archive.stats_.*field.member = *parsed;
   }
   return archive;
 }

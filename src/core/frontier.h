@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/stat_fields.h"
 #include "src/common/status.h"
 #include "src/config/parallel_config.h"
 #include "src/cost/resource_usage.h"
@@ -65,14 +66,25 @@ struct FrontierPoint {
 
 // Counters for one archive's lifetime. Offer() updates them; Merge() counts
 // the donor's points as fresh offers into this archive.
-struct FrontierStats {
+struct FrontierStats : StatsSnapshot<FrontierStats> {
   int64_t offered = 0;     // Offer() calls
   int64_t admitted = 0;    // offers that entered the archive
   int64_t dominated = 0;   // offers rejected as weakly dominated
   int64_t duplicates = 0;  // offers rejected by semantic-hash dedup
   int64_t rejected = 0;    // offers with non-finite / non-positive estimates
   int64_t evicted = 0;     // previously admitted points displaced later
+
+  // Also the counter keys of ToJson / FromJson, in this order.
+  static constexpr StatField<FrontierStats> kFields[] = {
+      {"offered", &FrontierStats::offered},
+      {"admitted", &FrontierStats::admitted},
+      {"dominated", &FrontierStats::dominated},
+      {"duplicates", &FrontierStats::duplicates},
+      {"rejected", &FrontierStats::rejected},
+      {"evicted", &FrontierStats::evicted},
+  };
 };
+static_assert(StatTableCovers<FrontierStats>(/*gauges=*/0));
 
 // The Pareto set over (iteration_time, peak_memory_bytes). Not thread-safe:
 // the search offers from its serial reduction, and per-stage-count worker

@@ -629,14 +629,7 @@ SearchResult RunStageCount(const PerformanceModel& model,
 }  // namespace
 
 void SearchStats::Merge(const SearchStats& other) {
-  iterations += other.iterations;
-  improvements += other.improvements;
-  configs_explored += other.configs_explored;
-  frontier_offered += other.frontier_offered;
-  frontier_admitted += other.frontier_admitted;
-  cache_hits += other.cache_hits;
-  cache_misses += other.cache_misses;
-  cache_evictions += other.cache_evictions;
+  MergeStats(other, this);
   bottleneck_attempts.insert(bottleneck_attempts.end(),
                              other.bottleneck_attempts.begin(),
                              other.bottleneck_attempts.end());
@@ -646,55 +639,50 @@ void SearchStats::Merge(const SearchStats& other) {
 
 namespace {
 
-// The stage-cost cache is shared by every search against `model` (possibly
-// concurrently), so per-run activity is attributed as a counter delta.
-void RecordCacheDelta(const PerformanceModel& model,
-                      const StageCacheStats& before, SearchStats* stats) {
-  const StageCacheStats delta = model.stage_cache().stats() - before;
-  stats->cache_hits += delta.hits;
-  stats->cache_misses += delta.misses;
-  stats->cache_evictions += delta.evictions;
-}
-
-// Before/after snapshot of every cache layer under the search, taken so the
-// deltas can be attributed to one run.
-struct ModelCounterSnapshot {
+// One snapshot of every cache layer under the search. The layers are shared
+// by every search against `model` (possibly concurrently), so per-run
+// activity is the delta between a snapshot before and one after the run.
+struct ModelCounters {
   StageCacheStats stage_cache;
   OpMemoStats op_memo;
   ProfileDbStats profile_db;
-
-  static ModelCounterSnapshot Take(const PerformanceModel& model) {
-    ModelCounterSnapshot s;
-    s.stage_cache = model.stage_cache().stats();
-    s.op_memo = model.op_memo().stats();
-    s.profile_db = model.db().stats();
-    return s;
-  }
 };
 
-// Publishes the cache-layer deltas of one search into the sink's counter
-// registry. Counters only — never events: the values are thread-timing
-// dependent (which stage-count worker hits which cache first), and the event
-// stream carries only trajectory facts (DESIGN.md §10). Tools that want the
-// hit rates in the JSONL emit a counter-snapshot event after the search.
+ModelCounters TakeModelCounters(const PerformanceModel& model) {
+  return {model.stage_cache().stats(), model.op_memo().stats(),
+          model.db().stats()};
+}
+
+template <class T>
+void IncrCounters(TelemetrySink* telemetry, std::string_view prefix,
+                  const T& delta) {
+  for (const StatField<T>& field : T::kFields) {
+    telemetry->IncrCounter(std::string(prefix) + field.name,
+                           delta.*field.member);
+  }
+}
+
+// Attributes the cache-layer deltas since `before` to one search: the
+// stage-cache counts to `stats`, every layer to the sink's counter registry.
+// Counters only — never events: the values are thread-timing dependent
+// (which stage-count worker hits which cache first), and the event stream
+// carries only trajectory facts (DESIGN.md §10). Tools that want the hit
+// rates in the JSONL emit a counter-snapshot event after the search.
 void RecordModelCounters(const PerformanceModel& model,
-                         const ModelCounterSnapshot& before,
-                         TelemetrySink* telemetry) {
+                         const ModelCounters& before,
+                         TelemetrySink* telemetry, SearchStats* stats) {
+  const ModelCounters after = TakeModelCounters(model);
+  const StageCacheStats cache = after.stage_cache - before.stage_cache;
+  stats->cache_hits += cache.hits;
+  stats->cache_misses += cache.misses;
+  stats->cache_evictions += cache.evictions;
   if (telemetry == nullptr) {
     return;
   }
-  const StageCacheStats cache = model.stage_cache().stats() - before.stage_cache;
-  const OpMemoStats memo = model.op_memo().stats() - before.op_memo;
-  const ProfileDbStats db = model.db().stats() - before.profile_db;
-  telemetry->IncrCounter("cost.stage_cache_hits", cache.hits);
-  telemetry->IncrCounter("cost.stage_cache_misses", cache.misses);
-  telemetry->IncrCounter("cost.stage_cache_evictions", cache.evictions);
-  telemetry->IncrCounter("cost.op_memo_hits", memo.hits);
-  telemetry->IncrCounter("cost.op_memo_misses", memo.misses);
-  telemetry->IncrCounter("cost.op_memo_inserts_dropped", memo.inserts_dropped);
-  telemetry->IncrCounter("profile_db.lookups", db.lookups);
-  telemetry->IncrCounter("profile_db.misses", db.misses);
-  telemetry->IncrCounter("profile_db.lock_contended", db.lock_contended);
+  IncrCounters(telemetry, "cost.stage_cache_", cache);
+  IncrCounters(telemetry, "cost.op_memo_", after.op_memo - before.op_memo);
+  IncrCounters(telemetry, "profile_db.",
+               after.profile_db - before.profile_db);
 }
 
 }  // namespace
@@ -754,13 +742,11 @@ SearchResult AcesoSearchForStages(const PerformanceModel& model,
                                   const SearchOptions& options,
                                   int num_stages) {
   Stopwatch watch;
-  const StageCacheStats cache_before = model.stage_cache().stats();
-  const ModelCounterSnapshot counters_before = ModelCounterSnapshot::Take(model);
+  const ModelCounters before = TakeModelCounters(model);
   SearchResult result = RunStageCount(model, options, num_stages,
                                       options.time_budget_seconds, watch,
                                       /*worker=*/0);
-  RecordCacheDelta(model, cache_before, &result.stats);
-  RecordModelCounters(model, counters_before, options.telemetry);
+  RecordModelCounters(model, before, options.telemetry, &result.stats);
   result.search_seconds = watch.ElapsedSeconds();
   return result;
 }
@@ -784,8 +770,7 @@ SearchResult AcesoSearch(const PerformanceModel& model,
   }
 
   Stopwatch watch;
-  const StageCacheStats cache_before = model.stage_cache().stats();
-  const ModelCounterSnapshot counters_before = ModelCounterSnapshot::Take(model);
+  const ModelCounters before = TakeModelCounters(model);
   std::vector<SearchResult> results(stage_counts.size());
 
   size_t threads = options.num_threads > 0
@@ -829,8 +814,7 @@ SearchResult AcesoSearch(const PerformanceModel& model,
   }
 
   SearchResult merged = MergeResults(std::move(results), options.top_k);
-  RecordCacheDelta(model, cache_before, &merged.stats);
-  RecordModelCounters(model, counters_before, options.telemetry);
+  RecordModelCounters(model, before, options.telemetry, &merged.stats);
   merged.search_seconds = watch.ElapsedSeconds();
   if (options.telemetry != nullptr) {
     options.telemetry->RecordTimer("search.total_seconds",

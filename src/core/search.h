@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/stat_fields.h"
 #include "src/config/parallel_config.h"
 #include "src/core/frontier.h"
 #include "src/cost/perf_model.h"
@@ -196,6 +197,18 @@ struct SearchStats {
   // (Fig. 11a) and the number of hops of the successful chain (Fig. 11b).
   std::vector<int> bottleneck_attempts;
   std::vector<int> hops_used;
+
+  // The scalar counters (src/common/stat_fields.h).
+  static constexpr StatField<SearchStats> kFields[] = {
+      {"iterations", &SearchStats::iterations},
+      {"improvements", &SearchStats::improvements},
+      {"configs_explored", &SearchStats::configs_explored},
+      {"frontier_offered", &SearchStats::frontier_offered},
+      {"frontier_admitted", &SearchStats::frontier_admitted},
+      {"cache_hits", &SearchStats::cache_hits},
+      {"cache_misses", &SearchStats::cache_misses},
+      {"cache_evictions", &SearchStats::cache_evictions},
+  };
 
   void Merge(const SearchStats& other);
 };

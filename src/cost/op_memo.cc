@@ -54,12 +54,12 @@ const OpBreakdown* OpBreakdownMemo::Lookup(uint64_t key) const {
       break;
     }
     if (entry->key == key) {
-      counters_.Add(kHits);
+      counters_.Add<&OpMemoStats::hits>();
       return &entry->value;
     }
     index = (index + 1) & mask_;
   }
-  counters_.Add(kMisses);
+  counters_.Add<&OpMemoStats::misses>();
   return nullptr;
 }
 
@@ -73,7 +73,7 @@ const OpBreakdown* OpBreakdownMemo::Insert(uint64_t key,
   // lookups fast and memory bounded.
   if (entries_.load(std::memory_order_relaxed) >=
       static_cast<int64_t>((mask_ + 1) - ((mask_ + 1) >> 3))) {
-    counters_.Add(kInsertsDropped);
+    counters_.Add<&OpMemoStats::inserts_dropped>();
     return nullptr;
   }
   Entry* fresh = nullptr;
@@ -104,15 +104,12 @@ const OpBreakdown* OpBreakdownMemo::Insert(uint64_t key,
     index = (index + 1) & mask_;
   }
   delete fresh;
-  counters_.Add(kInsertsDropped);
+  counters_.Add<&OpMemoStats::inserts_dropped>();
   return nullptr;
 }
 
 OpMemoStats OpBreakdownMemo::stats() const {
-  OpMemoStats s;
-  s.hits = counters_.Sum(kHits);
-  s.misses = counters_.Sum(kMisses);
-  s.inserts_dropped = counters_.Sum(kInsertsDropped);
+  OpMemoStats s = counters_.Snapshot();
   s.entries = entries_.load(std::memory_order_relaxed);
   return s;
 }

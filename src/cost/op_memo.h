@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/stat_fields.h"
 #include "src/common/striped_counters.h"
 
 namespace aceso {
@@ -45,23 +46,20 @@ struct OpMemoOptions {
   size_t capacity = 1 << 16;
 };
 
-// Monotonic counters; `operator-` attributes a delta to one search run,
-// like StageCacheStats / ProfileDbStats.
-struct OpMemoStats {
+// Lookup counters of the memo.
+struct OpMemoStats : StatsSnapshot<OpMemoStats> {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t inserts_dropped = 0;  // table full or probe bound exceeded
-  int64_t entries = 0;          // current size, not a delta-able counter
+  int64_t entries = 0;          // gauge: current size
 
-  OpMemoStats operator-(const OpMemoStats& other) const {
-    OpMemoStats d;
-    d.hits = hits - other.hits;
-    d.misses = misses - other.misses;
-    d.inserts_dropped = inserts_dropped - other.inserts_dropped;
-    d.entries = entries;
-    return d;
-  }
+  static constexpr StatField<OpMemoStats> kFields[] = {
+      {"hits", &OpMemoStats::hits},
+      {"misses", &OpMemoStats::misses},
+      {"inserts_dropped", &OpMemoStats::inserts_dropped},
+  };
 };
+static_assert(StatTableCovers<OpMemoStats>(/*gauges=*/1));
 
 class OpBreakdownMemo {
  public:
@@ -108,14 +106,12 @@ class OpBreakdownMemo {
   // worst-case lookups O(1) even under adversarial key clustering.
   static constexpr size_t kMaxProbe = 64;
 
-  enum Counter : size_t { kHits, kMisses, kInsertsDropped, kNumCounters };
-
   // Read on every lookup; never written after construction (bar setup-time
   // toggles), so the counters below sit on other cache lines.
   bool enabled_ = true;
   size_t mask_ = 0;
   std::vector<std::atomic<const Entry*>> slots_;
-  StripedCounters<kNumCounters> counters_;
+  StripedStats<OpMemoStats> counters_;
   // Written on every successful insert (the miss path): its own line.
   alignas(kCacheLineBytes) std::atomic<int64_t> entries_{0};
 };

@@ -41,11 +41,11 @@ std::shared_ptr<const StageCost> StageCostCache::Lookup(uint64_t key) const {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(key);
     if (it != shard.entries.end()) {
-      counters_.Add(kHits);
+      counters_.Add<&StageCacheStats::hits>();
       return it->second;
     }
   }
-  counters_.Add(kMisses);
+  counters_.Add<&StageCacheStats::misses>();
   return nullptr;
 }
 
@@ -71,7 +71,7 @@ void StageCostCache::Insert(uint64_t key,
     }
   }
   if (evicted > 0) {
-    counters_.Add(kEvictions, evicted);
+    counters_.Add<&StageCacheStats::evictions>(evicted);
   }
 }
 
@@ -84,10 +84,7 @@ void StageCostCache::Clear() {
 }
 
 StageCacheStats StageCostCache::stats() const {
-  StageCacheStats s;
-  s.hits = counters_.Sum(kHits);
-  s.misses = counters_.Sum(kMisses);
-  s.evictions = counters_.Sum(kEvictions);
+  StageCacheStats s = counters_.Snapshot();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     s.entries += static_cast<int64_t>(shard->entries.size());

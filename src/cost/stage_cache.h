@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
-#include "src/common/striped_counters.h"
+#include "src/common/stat_fields.h"
 
 namespace aceso {
 
@@ -53,23 +53,20 @@ struct StageCacheOptions {
   size_t num_shards = 16;
 };
 
-// A consistent snapshot of the cache counters. `operator-` yields the delta
-// between two snapshots (used to attribute activity to one search run).
-struct StageCacheStats {
+// A snapshot of the cache counters (src/common/stat_fields.h).
+struct StageCacheStats : StatsSnapshot<StageCacheStats> {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t evictions = 0;
-  int64_t entries = 0;  // current size, not a delta-able counter
+  int64_t entries = 0;  // gauge: current size
 
-  StageCacheStats operator-(const StageCacheStats& other) const {
-    StageCacheStats d;
-    d.hits = hits - other.hits;
-    d.misses = misses - other.misses;
-    d.evictions = evictions - other.evictions;
-    d.entries = entries;
-    return d;
-  }
+  static constexpr StatField<StageCacheStats> kFields[] = {
+      {"hits", &StageCacheStats::hits},
+      {"misses", &StageCacheStats::misses},
+      {"evictions", &StageCacheStats::evictions},
+  };
 };
+static_assert(StatTableCovers<StageCacheStats>(/*gauges=*/1));
 
 class StageCostCache {
  public:
@@ -114,15 +111,13 @@ class StageCostCache {
     return *shards_[static_cast<size_t>(key >> 48) & shard_mask_];
   }
 
-  enum Counter : size_t { kHits, kMisses, kEvictions, kNumCounters };
-
   // Read-mostly; the striped counters below never share their lines.
   StageCacheOptions options_;
   size_t shard_mask_ = 0;
   size_t shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  StripedCounters<kNumCounters> counters_;
+  StripedStats<StageCacheStats> counters_;
 };
 
 }  // namespace aceso

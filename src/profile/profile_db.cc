@@ -128,7 +128,7 @@ std::unique_lock<std::mutex> ProfileDatabase::LockShard(
     const Shard& shard) const {
   std::unique_lock<std::mutex> lock(shard.mu, std::try_to_lock);
   if (!lock.owns_lock()) {
-    counters_.Add(kLockContended);
+    counters_.Add<&ProfileDbStats::lock_contended>();
     lock.lock();
   }
   return lock;
@@ -143,7 +143,7 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, uint64_t signature,
   key.local_batch = local_batch;
   key.precision = static_cast<int>(precision);
   const uint64_t hash = key.Hash();
-  counters_.Add(kLookups);
+  counters_.Add<&ProfileDbStats::lookups>();
 
   Shard& shard = ShardFor(hash);
   {
@@ -157,7 +157,7 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, uint64_t signature,
   // `runs_` simulated runs and is the expensive part — holding the lock
   // here would convoy every concurrent lookup of this shard behind it),
   // then double-check: emplace ignores our value if another filler beat us.
-  counters_.Add(kMisses);
+  counters_.Add<&ProfileDbStats::misses>();
   const OpMeasurement m = profiler_.MeasureOp(op, key);
   auto lock = LockShard(shard);
   auto [it, inserted] = shard.op_entries.emplace(hash, m);
@@ -169,7 +169,7 @@ OpMeasurement ProfileDatabase::OpTime(const Operator& op, uint64_t signature,
 
 double ProfileDatabase::CollectiveBucketTime(const CommProfileKey& key) {
   const uint64_t hash = key.Hash();
-  counters_.Add(kLookups);
+  counters_.Add<&ProfileDbStats::lookups>();
 
   Shard& shard = ShardFor(hash);
   {
@@ -180,7 +180,7 @@ double ProfileDatabase::CollectiveBucketTime(const CommProfileKey& key) {
     }
   }
   // Same unlocked-measure + first-writer-wins insert as OpTime.
-  counters_.Add(kMisses);
+  counters_.Add<&ProfileDbStats::misses>();
   const double t = profiler_.MeasureCollective(key);
   auto lock = LockShard(shard);
   auto [it, inserted] = shard.comm_entries.emplace(hash, t);
@@ -231,13 +231,7 @@ double ProfileDatabase::SimulatedProfilingSeconds() const {
   return total;
 }
 
-ProfileDbStats ProfileDatabase::stats() const {
-  ProfileDbStats s;
-  s.lookups = counters_.Sum(kLookups);
-  s.misses = counters_.Sum(kMisses);
-  s.lock_contended = counters_.Sum(kLockContended);
-  return s;
-}
+ProfileDbStats ProfileDatabase::stats() const { return counters_.Snapshot(); }
 
 // ---- Versioned binary snapshot files (DESIGN.md §14) ----
 //

@@ -46,7 +46,7 @@
 #include <unordered_map>
 
 #include "src/common/status.h"
-#include "src/common/striped_counters.h"
+#include "src/common/stat_fields.h"
 #include "src/hw/cluster.h"
 #include "src/hw/gpu_spec.h"
 #include "src/hw/interconnect.h"
@@ -127,21 +127,19 @@ struct ProfileSnapshotInfo {
   uint64_t comm_entries = 0;
 };
 
-// Lookup/contention counters (monotonic; `operator-` attributes a delta to
-// one search run, like StageCacheStats).
-struct ProfileDbStats {
+// Lookup/contention counters.
+struct ProfileDbStats : StatsSnapshot<ProfileDbStats> {
   int64_t lookups = 0;        // OpTime + bucketed CollectiveTime calls
   int64_t misses = 0;         // lookups that ran a simulated measurement
   int64_t lock_contended = 0; // shard acquisitions that had to block
 
-  ProfileDbStats operator-(const ProfileDbStats& other) const {
-    ProfileDbStats d;
-    d.lookups = lookups - other.lookups;
-    d.misses = misses - other.misses;
-    d.lock_contended = lock_contended - other.lock_contended;
-    return d;
-  }
+  static constexpr StatField<ProfileDbStats> kFields[] = {
+      {"lookups", &ProfileDbStats::lookups},
+      {"misses", &ProfileDbStats::misses},
+      {"lock_contended", &ProfileDbStats::lock_contended},
+  };
 };
+static_assert(StatTableCovers<ProfileDbStats>(/*gauges=*/0));
 
 // Thread-safe memoizing database of op and collective measurements.
 class ProfileDatabase {
@@ -225,16 +223,9 @@ class ProfileDatabase {
   ClusterSpec cluster_;
   SimulatedProfiler profiler_;
 
-  enum Counter : size_t {
-    kLookups,
-    kMisses,
-    kLockContended,
-    kNumCounters
-  };
-
   mutable std::array<Shard, kNumShards> shards_;
   // Bumped by every lookup, each thread in its own stripe.
-  StripedCounters<kNumCounters> counters_;
+  StripedStats<ProfileDbStats> counters_;
 };
 
 }  // namespace aceso

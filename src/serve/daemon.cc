@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
+#include "src/common/stat_fields.h"
 #include "src/serve/plan_protocol.h"
 
 namespace aceso {
@@ -122,28 +123,11 @@ void PlanDaemon::HandlePlan(const HttpRequest& request,
 std::string PlanDaemon::StatsJson() const {
   // Service counters stay top-level (CI and tests grep them flat); the
   // io-layer counters nest under "http".
-  std::string out = service_.StatsJson();
-  const HttpServerStats h = server_.stats();
-  std::string http = ",\"http\":{";
-  auto field = [&http](const char* name, int64_t value, bool last = false) {
-    http += "\"";
-    http += name;
-    http += "\":";
-    http += std::to_string(value);
-    if (!last) {
-      http += ",";
-    }
-  };
-  field("connections_accepted", h.connections_accepted);
-  field("connections_closed", h.connections_closed);
-  field("requests_served", h.requests_served);
-  field("keepalive_reuses", h.keepalive_reuses);
-  field("bytes_in", h.bytes_in);
-  field("bytes_out", h.bytes_out);
-  field("timeout_evictions", h.timeout_evictions);
-  field("parse_errors", h.parse_errors, /*last=*/true);
-  http += "}";
-  out.insert(out.size() - 1, http);
+  std::string out = "{";
+  AppendStatsJson(out, service_.stats());
+  out += ",\"http\":{";
+  AppendStatsJson(out, server_.stats());
+  out += "}}";
   return out;
 }
 

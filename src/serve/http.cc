@@ -282,19 +282,6 @@ const char* HttpStatusText(int code) {
   }
 }
 
-HttpServerStats HttpServerStats::operator-(const HttpServerStats& o) const {
-  HttpServerStats d;
-  d.connections_accepted = connections_accepted - o.connections_accepted;
-  d.connections_closed = connections_closed - o.connections_closed;
-  d.requests_served = requests_served - o.requests_served;
-  d.keepalive_reuses = keepalive_reuses - o.keepalive_reuses;
-  d.bytes_in = bytes_in - o.bytes_in;
-  d.bytes_out = bytes_out - o.bytes_out;
-  d.timeout_evictions = timeout_evictions - o.timeout_evictions;
-  d.parse_errors = parse_errors - o.parse_errors;
-  return d;
-}
-
 // ---------------------------------------------------------------------------
 // Reactor internals
 // ---------------------------------------------------------------------------
@@ -464,20 +451,6 @@ void HttpServer::Stop() {
   workers_.clear();
 }
 
-HttpServerStats HttpServer::stats() const {
-  HttpServerStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_closed = connections_closed_.load(std::memory_order_relaxed);
-  s.requests_served = requests_served_.load(std::memory_order_relaxed);
-  s.keepalive_reuses = keepalive_reuses_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
-  s.timeout_evictions = timeout_evictions_.load(std::memory_order_relaxed);
-  s.parse_errors = parse_errors_.load(std::memory_order_relaxed);
-  return s;
-}
-
 void HttpServer::AcceptLoop() {
   // Snapshot the listener fd: the member is written by Start() before this
   // thread exists and by Stop() only after joining it, so the local copy is
@@ -504,7 +477,7 @@ void HttpServer::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&HttpServerStats::connections_accepted>();
 
     Worker* worker =
         workers_[next_worker_.fetch_add(1, std::memory_order_relaxed) %
@@ -523,7 +496,7 @@ void HttpServer::AcceptLoop() {
 void HttpServer::CloseConn(Worker* worker, Conn* conn) {
   ::epoll_ctl(worker->epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
-  connections_closed_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add<&HttpServerStats::connections_closed>();
   worker->conns.erase(conn->fd);  // frees conn
 }
 
@@ -564,7 +537,7 @@ bool HttpServer::FlushOutput(Conn* conn, bool* done) {
       }
       return false;  // peer gone
     }
-    bytes_out_.fetch_add(n, std::memory_order_relaxed);
+    counters_.Add<&HttpServerStats::bytes_out>(n);
     conn->out_pending -= static_cast<size_t>(n);
     size_t advanced = conn->out_sent + static_cast<size_t>(n);
     while (!conn->outq.empty() &&
@@ -588,7 +561,7 @@ bool HttpServer::SendNow(Conn* conn, std::string_view data) {
                              data.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<size_t>(n);
-      bytes_out_.fetch_add(n, std::memory_order_relaxed);
+      counters_.Add<&HttpServerStats::bytes_out>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) {
@@ -619,9 +592,9 @@ bool HttpServer::DispatchRequest(Worker* worker, Conn* conn) {
                    "{\"status\":\"error\",\"code\":\"INTERNAL\","
                    "\"message\":\"handler produced no response\"}");
   }
-  requests_served_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add<&HttpServerStats::requests_served>();
   if (conn->served > 0) {
-    keepalive_reuses_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&HttpServerStats::keepalive_reuses>();
   }
   ++conn->served;
   if (conn->streamed || !conn->req_keep_alive) {
@@ -653,7 +626,7 @@ bool HttpServer::ProcessInput(Worker* worker, Conn* conn) {
         const size_t head_end = conn->in.find("\r\n\r\n", conn->consumed);
         if (head_end == std::string::npos) {
           if (available > options_.max_header_bytes) {
-            parse_errors_.fetch_add(1, std::memory_order_relaxed);
+            counters_.Add<&HttpServerStats::parse_errors>();
             HttpResponseWriter writer(this, conn);
             conn->req_keep_alive = false;
             conn->close_after = true;  // the parser cannot resync past this
@@ -686,7 +659,7 @@ bool HttpServer::ProcessInput(Worker* worker, Conn* conn) {
           }
         }
         if (!parsed) {
-          parse_errors_.fetch_add(1, std::memory_order_relaxed);
+          counters_.Add<&HttpServerStats::parse_errors>();
           HttpResponseWriter writer(this, conn);
           conn->req_keep_alive = false;
           conn->close_after = true;  // the parser cannot resync past this
@@ -802,7 +775,7 @@ void HttpServer::WorkerLoop(Worker* worker) {
           const ssize_t r = ::recv(conn->fd, chunk, sizeof(chunk), 0);
           if (r > 0) {
             conn->in.append(chunk, static_cast<size_t>(r));
-            bytes_in_.fetch_add(r, std::memory_order_relaxed);
+            counters_.Add<&HttpServerStats::bytes_in>(r);
             // Oversized pipelining is bounded like oversized heads.
             if (conn->in.size() >
                 options_.max_header_bytes + options_.max_body_bytes + 4096) {
@@ -869,7 +842,7 @@ void HttpServer::WorkerLoop(Worker* worker) {
         ev.data.fd = fd;
         if (::epoll_ctl(worker->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
           ::close(fd);
-          connections_closed_.fetch_add(1, std::memory_order_relaxed);
+          counters_.Add<&HttpServerStats::connections_closed>();
           continue;
         }
         worker->conns.emplace(fd, std::move(conn));
@@ -888,7 +861,7 @@ void HttpServer::WorkerLoop(Worker* worker) {
       Conn* conn = it->second.get();
       ++it;  // CloseConn erases; advance first
       if (now >= conn->deadline && !conn->flushing) {
-        timeout_evictions_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add<&HttpServerStats::timeout_evictions>();
         CloseConn(worker, conn);
       }
     }
@@ -898,7 +871,7 @@ void HttpServer::WorkerLoop(Worker* worker) {
   for (auto& [fd, conn] : worker->conns) {
     ::epoll_ctl(worker->epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
-    connections_closed_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&HttpServerStats::connections_closed>();
   }
   worker->conns.clear();
 }

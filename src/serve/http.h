@@ -47,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/stat_fields.h"
 #include "src/common/status.h"
 
 namespace aceso {
@@ -80,11 +81,10 @@ struct HttpServerOptions {
   size_t max_body_bytes = 8 * 1024 * 1024;
 };
 
-// Monotonic io-layer counters (operator- attributes deltas, like every
-// stats struct in the repo). `keepalive_reuses` counts requests served on a
-// connection that had already served one, so
+// Monotonic io-layer counters. `keepalive_reuses` counts requests served on
+// a connection that had already served one, so
 // requests_served == keepalive_reuses + <connections that served >= 1>.
-struct HttpServerStats {
+struct HttpServerStats : StatsSnapshot<HttpServerStats> {
   int64_t connections_accepted = 0;
   int64_t connections_closed = 0;
   int64_t requests_served = 0;
@@ -94,8 +94,18 @@ struct HttpServerStats {
   int64_t timeout_evictions = 0;  // idle/read deadline expiries
   int64_t parse_errors = 0;       // malformed requests answered with a 400
 
-  HttpServerStats operator-(const HttpServerStats& other) const;
+  static constexpr StatField<HttpServerStats> kFields[] = {
+      {"connections_accepted", &HttpServerStats::connections_accepted},
+      {"connections_closed", &HttpServerStats::connections_closed},
+      {"requests_served", &HttpServerStats::requests_served},
+      {"keepalive_reuses", &HttpServerStats::keepalive_reuses},
+      {"bytes_in", &HttpServerStats::bytes_in},
+      {"bytes_out", &HttpServerStats::bytes_out},
+      {"timeout_evictions", &HttpServerStats::timeout_evictions},
+      {"parse_errors", &HttpServerStats::parse_errors},
+  };
 };
+static_assert(StatTableCovers<HttpServerStats>(/*gauges=*/0));
 
 class HttpServer;
 
@@ -160,7 +170,7 @@ class HttpServer {
   // The bound port (after a successful Start).
   int port() const { return port_; }
 
-  HttpServerStats stats() const;
+  HttpServerStats stats() const { return counters_.Snapshot(); }
 
  private:
   friend class HttpResponseWriter;
@@ -188,14 +198,7 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   std::atomic<size_t> next_worker_{0};
 
-  std::atomic<int64_t> connections_accepted_{0};
-  std::atomic<int64_t> connections_closed_{0};
-  std::atomic<int64_t> requests_served_{0};
-  std::atomic<int64_t> keepalive_reuses_{0};
-  std::atomic<int64_t> bytes_in_{0};
-  std::atomic<int64_t> bytes_out_{0};
-  std::atomic<int64_t> timeout_evictions_{0};
-  std::atomic<int64_t> parse_errors_{0};
+  AtomicStats<HttpServerStats> counters_;
 };
 
 // A parsed HTTP response, shared by every client below.

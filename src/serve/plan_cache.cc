@@ -40,10 +40,10 @@ std::optional<CachedPlan> PlanCache::Get(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
+    ++stats_.misses;
     return std::nullopt;
   }
-  ++hits_;
+  ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->plan;
 }
@@ -79,12 +79,12 @@ void PlanCache::Put(uint64_t key, CachedPlan plan) {
   }
   lru_.push_front(Entry{key, std::move(plan), {}, 0, std::nullopt});
   index_[key] = lru_.begin();
-  ++inserts_;
+  ++stats_.inserts;
   while (lru_.size() > options_.capacity) {
     UnhookNeighborLocked(lru_.back());
     index_.erase(lru_.back().key);
     lru_.pop_back();
-    ++evictions_;
+    ++stats_.evictions;
   }
 }
 
@@ -98,11 +98,11 @@ std::shared_ptr<const std::string> PlanCache::GetDerived(uint64_t key,
   lru_.splice(lru_.begin(), lru_, it->second);
   for (const auto& [v, payload] : it->second->derived) {
     if (v == variant) {
-      ++derived_hits_;
+      ++stats_.derived_hits;
       return payload;
     }
   }
-  ++derived_misses_;
+  ++stats_.derived_misses;
   return nullptr;
 }
 
@@ -126,10 +126,10 @@ void PlanCache::PutDerived(uint64_t key, uint64_t variant,
   }
   while (derived.size() >= options_.max_derived_payloads) {
     derived.erase(derived.begin());
-    ++derived_evictions_;
+    ++stats_.derived_evictions;
   }
   derived.emplace_back(variant, std::move(payload));
-  ++derived_inserts_;
+  ++stats_.derived_inserts;
 }
 
 void PlanCache::AttachNeighbor(uint64_t key, uint64_t family,
@@ -152,7 +152,7 @@ std::optional<NeighborPlan> PlanCache::FindNeighbor(
     uint64_t family, uint64_t exclude_key, int num_ops, int num_gpus,
     int64_t memory_budget_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++neighbor_probes_;
+  ++stats_.neighbor_probes;
   auto fit = families_.find(family);
   if (fit == families_.end()) {
     return std::nullopt;
@@ -179,7 +179,7 @@ std::optional<NeighborPlan> PlanCache::FindNeighbor(
   if (best == nullptr) {
     return std::nullopt;
   }
-  ++neighbor_hits_;
+  ++stats_.neighbor_hits;
   return *best;
 }
 
@@ -190,18 +190,7 @@ size_t PlanCache::size() const {
 
 PlanCacheStats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  PlanCacheStats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.inserts = inserts_;
-  s.evictions = evictions_;
-  s.derived_hits = derived_hits_;
-  s.derived_misses = derived_misses_;
-  s.derived_inserts = derived_inserts_;
-  s.derived_evictions = derived_evictions_;
-  s.neighbor_probes = neighbor_probes_;
-  s.neighbor_hits = neighbor_hits_;
-  return s;
+  return stats_;
 }
 
 }  // namespace serve

@@ -24,8 +24,8 @@
 // refresh of the exact entry unhooks its neighbor registration.
 //
 // LRU with a fixed entry capacity; thread-safe (one mutex — the cache sits
-// on the request admission path, not inside any search loop). Counters
-// follow the repo's stats idiom (monotonic, operator- for deltas).
+// on the request admission path, not inside any search loop); the counters
+// are bumped under the same mutex.
 
 #ifndef SRC_SERVE_PLAN_CACHE_H_
 #define SRC_SERVE_PLAN_CACHE_H_
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/stat_fields.h"
 #include "src/config/parallel_config.h"
 
 namespace aceso {
@@ -54,7 +55,7 @@ struct PlanCacheOptions {
   size_t max_derived_payloads = 8;
 };
 
-struct PlanCacheStats {
+struct PlanCacheStats : StatsSnapshot<PlanCacheStats> {
   int64_t hits = 0;
   int64_t misses = 0;
   int64_t inserts = 0;
@@ -71,21 +72,20 @@ struct PlanCacheStats {
   int64_t neighbor_probes = 0;
   int64_t neighbor_hits = 0;
 
-  PlanCacheStats operator-(const PlanCacheStats& other) const {
-    PlanCacheStats d;
-    d.hits = hits - other.hits;
-    d.misses = misses - other.misses;
-    d.inserts = inserts - other.inserts;
-    d.evictions = evictions - other.evictions;
-    d.derived_hits = derived_hits - other.derived_hits;
-    d.derived_misses = derived_misses - other.derived_misses;
-    d.derived_inserts = derived_inserts - other.derived_inserts;
-    d.derived_evictions = derived_evictions - other.derived_evictions;
-    d.neighbor_probes = neighbor_probes - other.neighbor_probes;
-    d.neighbor_hits = neighbor_hits - other.neighbor_hits;
-    return d;
-  }
+  static constexpr StatField<PlanCacheStats> kFields[] = {
+      {"hits", &PlanCacheStats::hits},
+      {"misses", &PlanCacheStats::misses},
+      {"inserts", &PlanCacheStats::inserts},
+      {"evictions", &PlanCacheStats::evictions},
+      {"derived_hits", &PlanCacheStats::derived_hits},
+      {"derived_misses", &PlanCacheStats::derived_misses},
+      {"derived_inserts", &PlanCacheStats::derived_inserts},
+      {"derived_evictions", &PlanCacheStats::derived_evictions},
+      {"neighbor_probes", &PlanCacheStats::neighbor_probes},
+      {"neighbor_hits", &PlanCacheStats::neighbor_hits},
+  };
 };
+static_assert(StatTableCovers<PlanCacheStats>(/*gauges=*/0));
 
 // One cached outcome: the shared response payload plus the headline numbers
 // the daemon logs without re-parsing its own JSON.
@@ -185,16 +185,7 @@ class PlanCache {
       index_;
   // family fingerprint -> keys of registered entries, registration order.
   std::unordered_map<uint64_t, std::vector<uint64_t>, IdentityHash> families_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
-  int64_t inserts_ = 0;
-  int64_t evictions_ = 0;
-  int64_t derived_hits_ = 0;
-  int64_t derived_misses_ = 0;
-  int64_t derived_inserts_ = 0;
-  int64_t derived_evictions_ = 0;
-  int64_t neighbor_probes_ = 0;
-  int64_t neighbor_hits_ = 0;
+  PlanCacheStats stats_;
 };
 
 }  // namespace serve

@@ -64,31 +64,6 @@ std::string ProfileSnapshotPath(const std::string& dir, uint64_t fingerprint) {
   return dir + "/" + name;
 }
 
-ServeStats ServeStats::operator-(const ServeStats& other) const {
-  ServeStats d;
-  d.requests = requests - other.requests;
-  d.completed = completed - other.completed;
-  d.rejected = rejected - other.rejected;
-  d.errors = errors - other.errors;
-  d.coalesced = coalesced - other.coalesced;
-  d.budget_sweeps = budget_sweeps - other.budget_sweeps;
-  d.sweeps_from_cache = sweeps_from_cache - other.sweeps_from_cache;
-  d.serializations_skipped =
-      serializations_skipped - other.serializations_skipped;
-  d.cache_hits = cache_hits - other.cache_hits;
-  d.cache_misses = cache_misses - other.cache_misses;
-  d.cache_evictions = cache_evictions - other.cache_evictions;
-  d.neighbor_seeded = neighbor_seeded - other.neighbor_seeded;
-  d.seed_adopted = seed_adopted - other.seed_adopted;
-  d.seed_fallbacks = seed_fallbacks - other.seed_fallbacks;
-  d.profile_dbs = profile_dbs - other.profile_dbs;
-  d.warm_starts = warm_starts - other.warm_starts;
-  d.warm_start_errors = warm_start_errors - other.warm_start_errors;
-  d.profile_lookups = profile_lookups - other.profile_lookups;
-  d.profile_misses = profile_misses - other.profile_misses;
-  return d;
-}
-
 // A search in flight: the runner fills it and signals; coalesced duplicates
 // wait on the condition variable. The payload is stored separately from any
 // envelope so every waiter can wrap it with its own request_id.
@@ -150,14 +125,14 @@ ProfileDatabase* PlanService::DbForCluster(const ClusterSpec& cluster) {
     const std::string path = ProfileSnapshotPath(options_.snapshot_dir, fp);
     const Status st = db->Load(path);
     if (st.ok()) {
-      warm_starts_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add<&ServeStats::warm_starts>();
       ACESO_LOG(INFO) << "warm-started profile database for "
                       << cluster.ToString() << " from " << path << " ("
                       << db->NumEntries() << " entries)";
     } else if (st.code() != StatusCode::kNotFound) {
       // A present-but-unusable snapshot (corrupt, old version, wrong
       // cluster) must not take the daemon down: run cold, but say so.
-      warm_start_errors_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add<&ServeStats::warm_start_errors>();
       ACESO_LOG(WARNING) << "ignoring profile snapshot " << path << ": "
                          << st.ToString();
     }
@@ -185,7 +160,7 @@ SearchResult PlanService::SeededSearch(const PerformanceModel& model,
     // than its stages): plain unseeded search, not counted as seeded.
     return AcesoSearch(model, options);
   }
-  neighbor_seeded_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add<&ServeStats::neighbor_seeded>();
 
   SearchOptions seeded_options = options;
   seeded_options.seed_mode = SeedMode::kConfig;
@@ -217,10 +192,10 @@ SearchResult PlanService::SeededSearch(const PerformanceModel& model,
     }
   }
   if (adopt) {
-    seed_adopted_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&ServeStats::seed_adopted>();
     return seeded;
   }
-  seed_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add<&ServeStats::seed_fallbacks>();
   SearchResult unseeded = AcesoSearch(model, options);
   // Serve whichever run found the better plan — the fallback guards the
   // floor, it does not throw away a seeded win over the full unseeded run.
@@ -233,12 +208,12 @@ SearchResult PlanService::SeededSearch(const PerformanceModel& model,
 
 PlanService::Response PlanService::Handle(const PlanRequest& request,
                                           const EventCallback& on_event) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add<&ServeStats::requests>();
   const std::string request_id =
       request.request_id.empty() ? NextRequestId() : request.request_id;
 
   auto error_response = [&](const Status& st) {
-    errors_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&ServeStats::errors>();
     Response r;
     r.status = st;
     r.body_head = BuildErrorEnvelope(request_id, st);
@@ -259,7 +234,13 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
     return error_response(gpus_ok);
   }
   const ClusterSpec cluster = ClusterSpec::WithGpuCount(request.gpus);
-  const SearchOptions options = ToSearchOptions(request);
+  SearchOptions options = ToSearchOptions(request);
+  // A budget at or above device capacity answers exactly as no budget
+  // (EffectiveMemoryLimit). Normalizing it before keying gives the plan-cache
+  // key, the search and the neighbor score one value for one answer.
+  if (options.memory_budget_bytes >= cluster.gpu.memory_bytes) {
+    options.memory_budget_bytes = 0;
+  }
   const uint64_t key = PlanCacheKey(graph, cluster, options);
 
   // A budget sweep keys as the base frontier request (ToSearchOptions), so
@@ -268,7 +249,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
   // own per-budget answers from the one stored frontier payload.
   const bool sweep = !request.memory_budgets.empty();
   if (sweep) {
-    budget_sweeps_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&ServeStats::budget_sweeps>();
   }
   // Assembles the ok response around a pre-serialized payload. On the
   // zero-serialization path (`reused` = the payload came out of the cache
@@ -302,7 +283,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
       mid = std::move(derived);
     }
     if (reused) {
-      serializations_skipped_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add<&ServeStats::serializations_skipped>();
     }
     r.cache = std::string(cache_kind);
     r.body_head = BuildResponseEnvelopeHead(request_id, cache_kind);
@@ -316,7 +297,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
   // every budget from the cached frontier, also without a search.
   if (auto hit = cache_.Get(key)) {
     if (sweep) {
-      sweeps_from_cache_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add<&ServeStats::sweeps_from_cache>();
     }
     return payload_response("hit", hit->payload_json, /*reused=*/true);
   }
@@ -335,7 +316,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
           running_searches_.fetch_add(1, std::memory_order_relaxed);
       if (running >= options_.max_inflight_searches) {
         running_searches_.fetch_sub(1, std::memory_order_relaxed);
-        rejected_.fetch_add(1, std::memory_order_relaxed);
+        counters_.Add<&ServeStats::rejected>();
         Response r;
         r.status = ResourceExhausted(
             "planning capacity exhausted (" +
@@ -353,7 +334,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
 
   if (!runner) {
     // Coalesced: piggyback on the identical in-flight search.
-    coalesced_.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&ServeStats::coalesced>();
     std::unique_lock<std::mutex> lk(job->mu);
     job->cv.wait(lk, [&job] { return job->done; });
     if (!job->search_status.ok()) {
@@ -425,7 +406,7 @@ PlanService::Response PlanService::Handle(const PlanRequest& request,
             key, NeighborFamilyKey(*state->graph, state->cluster),
             std::move(neighbor));
       }
-      completed_.fetch_add(1, std::memory_order_relaxed);
+      counters_.Add<&ServeStats::completed>();
     }
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
@@ -494,25 +475,11 @@ Status PlanService::SaveProfiles(const std::string& dir) {
 }
 
 ServeStats PlanService::stats() const {
-  ServeStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.errors = errors_.load(std::memory_order_relaxed);
-  s.coalesced = coalesced_.load(std::memory_order_relaxed);
-  s.budget_sweeps = budget_sweeps_.load(std::memory_order_relaxed);
-  s.sweeps_from_cache = sweeps_from_cache_.load(std::memory_order_relaxed);
-  s.serializations_skipped =
-      serializations_skipped_.load(std::memory_order_relaxed);
+  ServeStats s = counters_.Snapshot();
   const PlanCacheStats cache = cache_.stats();
   s.cache_hits = cache.hits;
   s.cache_misses = cache.misses;
   s.cache_evictions = cache.evictions;
-  s.neighbor_seeded = neighbor_seeded_.load(std::memory_order_relaxed);
-  s.seed_adopted = seed_adopted_.load(std::memory_order_relaxed);
-  s.seed_fallbacks = seed_fallbacks_.load(std::memory_order_relaxed);
-  s.warm_starts = warm_starts_.load(std::memory_order_relaxed);
-  s.warm_start_errors = warm_start_errors_.load(std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(db_mu_);
   s.profile_dbs = static_cast<int64_t>(dbs_.size());
   for (const auto& [fp, db] : dbs_) {
@@ -521,41 +488,6 @@ ServeStats PlanService::stats() const {
     s.profile_misses += dbs.misses;
   }
   return s;
-}
-
-std::string PlanService::StatsJson() const {
-  const ServeStats s = stats();
-  std::string out = "{";
-  auto field = [&out](const char* name, int64_t value, bool last = false) {
-    out += "\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-    if (!last) {
-      out += ",";
-    }
-  };
-  field("requests", s.requests);
-  field("completed", s.completed);
-  field("rejected", s.rejected);
-  field("errors", s.errors);
-  field("coalesced", s.coalesced);
-  field("budget_sweeps", s.budget_sweeps);
-  field("sweeps_from_cache", s.sweeps_from_cache);
-  field("serializations_skipped", s.serializations_skipped);
-  field("cache_hits", s.cache_hits);
-  field("cache_misses", s.cache_misses);
-  field("cache_evictions", s.cache_evictions);
-  field("neighbor_seeded", s.neighbor_seeded);
-  field("seed_adopted", s.seed_adopted);
-  field("seed_fallbacks", s.seed_fallbacks);
-  field("profile_dbs", s.profile_dbs);
-  field("warm_starts", s.warm_starts);
-  field("warm_start_errors", s.warm_start_errors);
-  field("profile_lookups", s.profile_lookups);
-  field("profile_misses", s.profile_misses, /*last=*/true);
-  out += "}";
-  return out;
 }
 
 }  // namespace serve

@@ -36,6 +36,7 @@
 #include <unordered_map>
 
 #include "src/common/hash.h"
+#include "src/common/stat_fields.h"
 #include "src/common/status.h"
 #include "src/common/thread_pool.h"
 #include "src/profile/profile_db.h"
@@ -77,9 +78,8 @@ struct ServeOptions {
   double http_read_timeout_seconds = 30.0; // partial-request eviction
 };
 
-// Monotonic service counters (ServeStats::operator- attributes deltas, like
-// every stats struct in the repo). Cache counters mirror the PlanCache.
-struct ServeStats {
+// Monotonic service counters. Cache counters mirror the PlanCache.
+struct ServeStats : StatsSnapshot<ServeStats> {
   int64_t requests = 0;        // Handle() calls
   int64_t completed = 0;       // searches run to completion
   int64_t rejected = 0;        // admission rejections
@@ -114,8 +114,30 @@ struct ServeStats {
   int64_t profile_lookups = 0;
   int64_t profile_misses = 0;
 
-  ServeStats operator-(const ServeStats& other) const;
+  // Also the /stats body, in this order.
+  static constexpr StatField<ServeStats> kFields[] = {
+      {"requests", &ServeStats::requests},
+      {"completed", &ServeStats::completed},
+      {"rejected", &ServeStats::rejected},
+      {"errors", &ServeStats::errors},
+      {"coalesced", &ServeStats::coalesced},
+      {"budget_sweeps", &ServeStats::budget_sweeps},
+      {"sweeps_from_cache", &ServeStats::sweeps_from_cache},
+      {"serializations_skipped", &ServeStats::serializations_skipped},
+      {"cache_hits", &ServeStats::cache_hits},
+      {"cache_misses", &ServeStats::cache_misses},
+      {"cache_evictions", &ServeStats::cache_evictions},
+      {"neighbor_seeded", &ServeStats::neighbor_seeded},
+      {"seed_adopted", &ServeStats::seed_adopted},
+      {"seed_fallbacks", &ServeStats::seed_fallbacks},
+      {"profile_dbs", &ServeStats::profile_dbs},
+      {"warm_starts", &ServeStats::warm_starts},
+      {"warm_start_errors", &ServeStats::warm_start_errors},
+      {"profile_lookups", &ServeStats::profile_lookups},
+      {"profile_misses", &ServeStats::profile_misses},
+  };
 };
+static_assert(StatTableCovers<ServeStats>(/*gauges=*/0));
 
 // The snapshot file for a cluster fingerprint inside `dir`:
 // `<dir>/profile_<16-hex-digit fingerprint>.apdb`. Shared by the service's
@@ -173,9 +195,6 @@ class PlanService {
   ServeStats stats() const;
   PlanCacheStats plan_cache_stats() const { return cache_.stats(); }
 
-  // Serializes stats() as a JSON object (the /stats endpoint body).
-  std::string StatsJson() const;
-
   const ServeOptions& options() const { return options_; }
 
  private:
@@ -222,20 +241,10 @@ class PlanService {
       inflight_;
 
   std::atomic<int64_t> running_searches_{0};
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> completed_{0};
-  std::atomic<int64_t> rejected_{0};
-  std::atomic<int64_t> errors_{0};
-  std::atomic<int64_t> coalesced_{0};
-  std::atomic<int64_t> budget_sweeps_{0};
-  std::atomic<int64_t> sweeps_from_cache_{0};
-  std::atomic<int64_t> serializations_skipped_{0};
-  std::atomic<int64_t> neighbor_seeded_{0};
-  std::atomic<int64_t> seed_adopted_{0};
-  std::atomic<int64_t> seed_fallbacks_{0};
-  std::atomic<int64_t> warm_starts_{0};
-  std::atomic<int64_t> warm_start_errors_{0};
   std::atomic<int64_t> next_request_id_{1};
+  // The service's own counters; the cache and profile counters of
+  // ServeStats are read from the cache and the databases.
+  AtomicStats<ServeStats> counters_;
 };
 
 }  // namespace serve

@@ -211,6 +211,31 @@ TEST(FrontierArchiveTest, JsonRoundTripPreservesPointsAndStats) {
   EXPECT_EQ(restored->ToJson("gpt3-0.35b"), json);
 }
 
+// The serialized bytes, pinned: the round trip above cannot catch a writer
+// that reorders keys, because the reader does not care about order.
+TEST(FrontierArchiveTest, ToJsonBytesArePinned) {
+  FrontierArchive archive;
+  Offer(archive, 4.0, 8 * kGiB, 0xdeadbeefcafe1234ull, false, 0.02);
+  Offer(archive, 2.0, 16 * kGiB, 0xffffffffffffffffull, true, 0.01);
+  Offer(archive, 3.0, 24 * kGiB, 7);  // dominated
+  Offer(archive, 5.0, 32 * kGiB, 8);  // dominated
+  Offer(archive, 2.0, 16 * kGiB, 0xffffffffffffffffull);  // duplicate
+  Offer(archive, 0.0, 4 * kGiB, 9);   // rejected
+  Offer(archive, 3.5, 6 * kGiB, 10);  // evicts the 8 GiB point
+  EXPECT_EQ(archive.ToJson("gpt3-0.35b"),
+            "{\"points\":[{\"iteration_time\":3.5,"
+            "\"peak_memory_bytes\":6442450944,\"cost_per_step_usd\":0,"
+            "\"semantic_hash\":\"000000000000000a\",\"num_stages\":0,"
+            "\"microbatch_size\":1,\"feasible\":true,\"config_text\":\"\"},"
+            "{\"iteration_time\":2,\"peak_memory_bytes\":17179869184,"
+            "\"cost_per_step_usd\":0.01,"
+            "\"semantic_hash\":\"ffffffffffffffff\",\"num_stages\":0,"
+            "\"microbatch_size\":1,\"feasible\":false,"
+            "\"config_text\":\"\"}],\"offered\":7,\"admitted\":3,"
+            "\"dominated\":2,\"duplicates\":1,\"rejected\":1,"
+            "\"evicted\":1}");
+}
+
 TEST(FrontierArchiveTest, FromJsonRejectsCorruptDocuments) {
   auto from = [](const std::string& text) {
     auto parsed = JsonParse(text);

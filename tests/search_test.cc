@@ -447,6 +447,36 @@ TEST_F(SearchTest, TelemetryEmitsOneEventPerIteration) {
             result.stats.configs_explored);
 }
 
+// The cache-layer counter names tools and benches read from the registry,
+// pinned; the stage-cache counts agree with the run's SearchStats.
+TEST_F(SearchTest, TelemetryCarriesCacheLayerCounterNames) {
+  TelemetrySink sink;
+  SearchOptions options = FastOptions();
+  options.time_budget_seconds = 1e6;
+  options.max_evaluations = 200;
+  options.telemetry = &sink;
+  const SearchResult result = AcesoSearchForStages(model_, options, 2);
+  ASSERT_TRUE(result.found);
+  std::vector<std::string> names;
+  for (const auto& [name, value] : sink.Counters()) {
+    if (name.starts_with("cost.") || name.starts_with("profile_db.")) {
+      names.push_back(name);
+    }
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "cost.op_memo_hits", "cost.op_memo_inserts_dropped",
+                       "cost.op_memo_misses", "cost.stage_cache_evictions",
+                       "cost.stage_cache_hits", "cost.stage_cache_misses",
+                       "profile_db.lock_contended", "profile_db.lookups",
+                       "profile_db.misses"}));
+  EXPECT_EQ(sink.counter("cost.stage_cache_hits"), result.stats.cache_hits);
+  EXPECT_EQ(sink.counter("cost.stage_cache_misses"),
+            result.stats.cache_misses);
+  EXPECT_EQ(sink.counter("cost.stage_cache_evictions"),
+            result.stats.cache_evictions);
+  EXPECT_GT(sink.counter("profile_db.lookups"), 0);
+}
+
 TEST_F(SearchTest, TelemetryDoesNotPerturbTheSearchTrajectory) {
   // Instrumentation is observation only: under a fixed evaluation budget
   // the instrumented search must land on the exact trajectory the golden

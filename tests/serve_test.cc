@@ -186,6 +186,25 @@ TEST(PlanServiceTest, DuplicateRequestServedFromCacheWithoutSearch) {
   EXPECT_EQ(first.key, second.key);
 }
 
+// A budget at or above device capacity answers exactly as no budget
+// (EffectiveMemoryLimit), so it must key, search and score as no budget.
+TEST(PlanServiceTest, BudgetAtOrAboveCapacityKeysAsNoBudget) {
+  PlanService service;
+  const PlanService::Response first = service.Handle(FastRequest());
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  EXPECT_EQ(first.cache, "miss");
+
+  PlanRequest doubled = FastRequest();
+  doubled.memory_budget_bytes =
+      2 * ClusterSpec::WithGpuCount(doubled.gpus).gpu.memory_bytes;
+  const PlanService::Response second = service.Handle(doubled);
+  ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+  EXPECT_EQ(second.cache, "hit");
+  EXPECT_EQ(second.key, first.key);
+  EXPECT_EQ(service.plan_cache_stats().inserts, 1);
+  EXPECT_EQ(service.stats().completed, 1);
+}
+
 TEST(PlanServiceTest, DifferentSeedIsACacheMiss) {
   PlanService service;
   service.Handle(FastRequest());
@@ -224,7 +243,8 @@ TEST(PlanServiceTest, PerturbedMissIsNeighborSeededAndCounted) {
   EXPECT_EQ(cache_stats.neighbor_hits, 1);    // only the second found a plan
 
   // The counters ride the /stats JSON like every other stat.
-  const std::string json = service.StatsJson();
+  std::string json;
+  AppendStatsJson(json, service.stats());
   EXPECT_NE(json.find("\"neighbor_seeded\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"seed_adopted\":"), std::string::npos);
   EXPECT_NE(json.find("\"seed_fallbacks\":"), std::string::npos);
@@ -603,6 +623,23 @@ TEST(PlanServiceTest, CorruptSnapshotFallsBackToColdStart) {
 }
 
 // ---- the HTTP daemon ----
+
+// The /stats body byte for byte: every key, its order, and the nested
+// "http" object (tools and CI read these keys by name and in order).
+TEST(PlanDaemonStatsTest, FreshStatsBodyIsPinned) {
+  PlanDaemon daemon;
+  EXPECT_EQ(daemon.StatsJson(),
+            "{\"requests\":0,\"completed\":0,\"rejected\":0,\"errors\":0,"
+            "\"coalesced\":0,\"budget_sweeps\":0,\"sweeps_from_cache\":0,"
+            "\"serializations_skipped\":0,\"cache_hits\":0,"
+            "\"cache_misses\":0,\"cache_evictions\":0,\"neighbor_seeded\":0,"
+            "\"seed_adopted\":0,\"seed_fallbacks\":0,\"profile_dbs\":0,"
+            "\"warm_starts\":0,\"warm_start_errors\":0,"
+            "\"profile_lookups\":0,\"profile_misses\":0,"
+            "\"http\":{\"connections_accepted\":0,\"connections_closed\":0,"
+            "\"requests_served\":0,\"keepalive_reuses\":0,\"bytes_in\":0,"
+            "\"bytes_out\":0,\"timeout_evictions\":0,\"parse_errors\":0}}");
+}
 
 class PlanDaemonTest : public ::testing::Test {
  protected:
